@@ -19,7 +19,7 @@ def main() -> int:
     sim = ZyzzyvaSim(batch_size=args.batch, seed=args.seed)
     reqs = sim.run_requests(args.requests)
     wall = time.monotonic() - t0
-    committed = sum(1 for r in reqs if sim.status(r).committed)
+    committed = sum(st.committed for st in sim.statuses(reqs))
     print("batch=%d committed=%d/%d compute_calls=%d wall=%.2fs (%.0f req/s informational)"
           % (args.batch, committed, len(reqs), sim.compute_calls, wall,
              len(reqs) / wall if wall else 0))
@@ -32,7 +32,7 @@ def main() -> int:
     tampered = ZyzzyvaSim(batch_size=args.batch, seed=args.seed)
     tampered.net.links.set_corrupt("r2", "c1", tamper_mac_hook)
     treqs = tampered.run_requests(min(args.requests, 10))
-    blocked = sum(1 for r in treqs if not tampered.status(r).committed)
+    blocked = sum(not st.committed for st in tampered.statuses(treqs))
     print("tampered replies: %d/%d commits blocked" % (blocked, len(treqs)))
     ok = (committed == len(reqs) and sim.compute_calls == before
           and blocked == len(treqs))

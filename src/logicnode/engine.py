@@ -4,13 +4,23 @@ The solver mutates variable cells and undoes bindings through a trail, so
 backtracking is cheap.  Cut is clause-local and implemented with a barrier
 id per predicate activation.  Unknown predicates fail quietly: handler
 programs routinely query predicates before the first matching assert.
+
+Clauses are indexed on their first argument.  A first argument has a key
+when it is an atom, an integer, or a flat ground compound (one whose
+arguments are all atoms or integers, such as `5-1`); two keys are equal
+exactly when the terms are `==`.  A predicate is indexed only while every
+one of its clauses has a key.  Its index is built on the first call whose
+goal has a keyed first argument, and from then on `assert`, consult-time
+loading and `retract` keep it current.  Such a call tries only the clauses
+under its key; any other call tries every clause of the predicate, skipping
+those whose first argument has another functor, arity or constant.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator as _op
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .reader import Clause, Program
 from .terms import (
@@ -46,6 +56,9 @@ class Database:
 
     def __init__(self):
         self.preds: dict = {}        # (name, arity) -> list[Clause]
+        # (name, arity) -> {first-argument key: list[Clause]}, or None while
+        # some clause of the predicate has no key; absent until first used
+        self._index: dict = {}
         self.dynamic: set = set()
         self.events: set = set()
         self.alarms: set = set()
@@ -67,9 +80,49 @@ class Database:
         if ind is None:
             raise EngineError("type", "clause head is not callable")
         self.preds.setdefault(ind, []).append(clause)
+        self._index_add(ind, clause)
 
-    def clauses_for(self, ind) -> Optional[list]:
-        return self.preds.get(ind)
+    def clauses_for(self, ind, first: Optional[Term] = None) -> Optional[Sequence]:
+        """The clauses, in database order, that a call of `ind` whose first
+        argument is `first` must try; None for an unknown predicate.
+
+        The list is live: callers iterate a copy.
+        """
+        clauses = self.preds.get(ind)
+        if clauses is None or first is None:
+            return clauses
+        index = self._index.get(ind, _UNBUILT)
+        if index is None:
+            return clauses
+        key = _first_arg_key(first)
+        if key is None:
+            return clauses
+        if index is _UNBUILT:
+            index = self._build_index(ind, clauses)
+            if index is None:
+                return clauses
+        return index.get(key, ())
+
+    def _build_index(self, ind, clauses: list) -> Optional[dict]:
+        index: Optional[dict] = {}
+        for c in clauses:
+            key = _clause_key(c)
+            if key is None:
+                index = None
+                break
+            index.setdefault(key, []).append(c)
+        self._index[ind] = index
+        return index
+
+    def _index_add(self, ind, clause: Clause) -> None:
+        index = self._index.get(ind)
+        if index is None:  # not built, or not indexable
+            return
+        key = _clause_key(clause)
+        if key is None:
+            self._index[ind] = None
+        else:
+            index.setdefault(key, []).append(clause)
 
     def is_dynamic(self, ind) -> bool:
         return ind in self.dynamic
@@ -87,6 +140,23 @@ class Database:
         if ind not in self.dynamic:
             raise EngineError("permission", "assert on static predicate %s/%d" % ind)
         bucket.append(clause)
+        self._index_add(ind, clause)
+
+    def retract(self, ind, clause: Clause) -> None:
+        """Remove one stored clause of `ind` from the list and its index."""
+        self.preds[ind].remove(clause)
+        if ind not in self._index:
+            return
+        index = self._index[ind]
+        key = _clause_key(clause)
+        if index is None:
+            if key is None:  # the predicate may be indexable again
+                del self._index[ind]
+            return
+        bucket = index[key]
+        bucket.remove(clause)
+        if not bucket:
+            del index[key]
 
     def facts(self, name: str, arity: int) -> list:
         """Ground snapshot of the facts stored under name/arity."""
@@ -154,7 +224,39 @@ def _rename(clause: Clause):
 
 
 def _first_arg_key(t: Term):
-    """Indexing key for a ground first argument, else None."""
+    """Index key of a first argument: an atom's name, an integer's value, or
+    (name, key of each argument) for a flat ground compound; else None.
+
+    It costs at most the arity of `t`, so every keyed call can afford it.
+    """
+    t = deref(t)
+    tt = type(t)
+    if tt is Atom:
+        return t.name
+    if tt is Int:
+        return t.value
+    if tt is not Struct:
+        return None
+    key = [t.name]
+    for a in t.args:
+        a = deref(a)
+        ta = type(a)
+        if ta is Atom:
+            key.append(a.name)
+        elif ta is Int:
+            key.append(a.value)
+        else:
+            return None
+    return tuple(key)
+
+
+def _clause_key(clause: Clause):
+    return _first_arg_key(deref(clause.head).args[0])
+
+
+def _first_arg_shape(t: Term):
+    """Functor and arity of a compound first argument, the key of an atom or
+    integer, else None: the filter of calls that the index does not serve."""
     t = deref(t)
     if isinstance(t, Atom):
         return ("a", t.name)
@@ -163,6 +265,9 @@ def _first_arg_key(t: Term):
     if isinstance(t, Struct):
         return ("s", t.name, len(t.args))
     return None
+
+
+_UNBUILT = object()
 
 
 class Solver:
@@ -258,16 +363,16 @@ class Solver:
             if hb is not None:
                 yield from hb(self, args)
                 return
-        clauses = self.db.clauses_for(key)
+        clauses = self.db.clauses_for(key, args[0] if args else None)
         if clauses is None:
             return
         barrier = next(self._barrier)
-        gkey = _first_arg_key(args[0]) if args else None
+        gkey = _first_arg_shape(args[0]) if args else None
         for clause in list(clauses):
             if gkey is not None:
                 head0 = clause.head
                 if isinstance(head0, Struct):
-                    ckey = _first_arg_key(head0.args[0])
+                    ckey = _first_arg_shape(head0.args[0])
                     if ckey is not None and ckey != gkey:
                         continue
             m = self.mark()
@@ -553,18 +658,20 @@ def _bi_assert(s, args, depth):
 def _bi_retract(s, args, depth):
     template = _split_clause(args[0])
     ind = indicator(template.head)
-    bucket = s.db.clauses_for(ind)
-    if bucket is None:
+    first = template.head.args[0] if isinstance(template.head, Struct) else None
+    candidates = s.db.clauses_for(ind, first)
+    if candidates is None:
         return
     if not s.db.is_dynamic(ind):
         raise EngineError("permission", "retract on static predicate %s/%d" % ind)
-    for clause in list(bucket):
-        if not any(c is clause for c in bucket):
-            continue
+    live = s.db.preds[ind]
+    for clause in list(candidates):
+        if not any(c is clause for c in live):
+            continue  # retracted since this call began
         m = s.mark()
         head, body = _rename(clause)
         if s.unify(template.head, head) and s.unify(template.body, body):
-            bucket.remove(clause)
+            s.db.retract(ind, clause)
             yield
         s.undo(m)
 

@@ -91,15 +91,24 @@ class ZyzzyvaSim:
             out.setdefault(term_text(req), {}).setdefault(key, set()).add(src.name)
         return out
 
+    def statuses(self, reqs: List[str], quorum: int = 4) -> List[CommitStatus]:
+        """Commit status of each request, from one read of the replies."""
+        replies = self.client_replies()
+        out = []
+        for req in reqs:
+            st = CommitStatus(req, False)
+            for (seq, val), senders in replies.get(req, {}).items():
+                if len(senders) >= quorum:
+                    st = CommitStatus(req, True, tuple(sorted(senders)), val)
+                    break
+            out.append(st)
+        return out
+
     def status(self, req: str, quorum: int = 4) -> CommitStatus:
-        groups = self.client_replies().get(req, {})
-        for (seq, val), senders in groups.items():
-            if len(senders) >= quorum:
-                return CommitStatus(req, True, tuple(sorted(senders)), val)
-        return CommitStatus(req, False)
+        return self.statuses([req], quorum)[0]
 
     def all_committed(self, reqs: List[str], quorum: int = 4) -> bool:
-        return all(self.status(r, quorum).committed for r in reqs)
+        return all(st.committed for st in self.statuses(reqs, quorum))
 
     # --- replay: re-deliver a recorded batch message from the primary ---
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .auth import KeyStore
-from .engine import Database, EngineError, SolveLimits, Solver
+from .engine import Database, EngineError, SolveLimits, Solver, _Cut
 from .reader import Clause, Program, ReaderError, deserialize, serialize, term_text
 from .terms import Atom, Int, Term, copy_term, deref, indicator
 from .wire import Envelope
@@ -197,9 +197,8 @@ class Node:
             for _ in solver.prove(generator, barrier):
                 mapping: dict = {}
                 pairs.append((copy_term(destv, mapping), copy_term(message, mapping)))
-        except Exception as e:
-            from .engine import _Cut
-            if not (isinstance(e, _Cut) and e.depth == barrier):
+        except _Cut as cut:
+            if cut.depth != barrier:
                 raise
         solver.undo(m)
         for dest_t, msg_t in pairs:

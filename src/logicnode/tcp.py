@@ -161,8 +161,6 @@ class TcpTransport:
                     else:
                         self._queue.put(("env", env))
         finally:
-            if decoder.pending == 0:
-                pass  # clean close
             try:
                 conn.close()
             except OSError:

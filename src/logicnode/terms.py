@@ -8,7 +8,7 @@ shared freely between structures on the same node.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional
+from typing import Optional
 
 _fresh_ids = itertools.count(1)
 
@@ -169,12 +169,3 @@ def copy_term(t: Term, mapping: Optional[dict] = None) -> Term:
 
 def is_ground(t: Term) -> bool:
     return not term_vars(t)
-
-
-def iter_subterms(t: Term) -> Iterator[Term]:
-    stack = [t]
-    while stack:
-        x = deref(stack.pop())
-        yield x
-        if isinstance(x, Struct):
-            stack.extend(x.args)

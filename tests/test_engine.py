@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logicnode.engine import (
-    Database, EngineError, SolveLimits, Solver, arith_eval, unify_terms)
-from logicnode.reader import parse_program, parse_term, term_text
+    Database, EngineError, SolveLimits, Solver, _first_arg_key, arith_eval,
+    unify_terms)
+from logicnode.reader import Clause, parse_program, parse_term, term_text
 from logicnode.terms import Atom, Int, Struct, Var
 
 
@@ -218,3 +221,93 @@ def test_retract_drain_idiom():
         "findall((Id, Src, Rq), retract(pending(Id, Src, Rq)), Batch)"))
     assert term_text(got["Batch"]) == "[','(1,','(c1,a)),','(2,','(c2,b))]"
     assert s.solve_all(parse_term("pending(_, _, _)")) == []
+
+
+# --- first-argument index ---
+
+
+def ids(solver: Solver, goal: str) -> list:
+    return [a["I"].value for a in solver.solve_all(parse_term(goal))]
+
+
+def test_first_assert_after_index_built_on_empty_predicate():
+    s = solver_for(":- dynamic p/2.\n")
+    assert ids(s, "p(a, I)") == []  # builds the index while p/2 is empty
+    s.solve_first(parse_term("assert(p(a, 1)), assert(p(b, 2))"))
+    assert ids(s, "p(a, I)") == [1]
+    assert ids(s, "p(b, I)") == [2]
+
+
+def test_variable_first_argument_asserted_into_indexed_predicate():
+    s = solver_for(":- dynamic p/2.\np(a, 1). p(b, 2).\n")
+    assert ids(s, "p(a, I)") == [1]
+    s.solve_first(parse_term("assert(p(_, 3)), assert(p(a, 4))"))
+    assert ids(s, "p(a, I)") == [1, 3, 4]
+    assert ids(s, "p(b, I)") == [2, 3]
+    assert len(s.db.clauses_for(("p", 2), Atom("a"))) == 4  # no index
+    assert s.solve_first(parse_term("retract(p(c, 3))")) is not None
+    assert ids(s, "p(a, I)") == [1, 4]
+    assert ids(s, "p(c, I)") == []
+    assert len(s.db.clauses_for(("p", 2), Atom("a"))) == 2  # indexed again
+
+
+def test_retract_while_a_call_iterates_the_same_bucket():
+    s = solver_for(":- dynamic p/2.\np(k, 1). p(k, 2). p(k, 3). p(j, 5).\n")
+    # the running call keeps its snapshot: 3 is still found after its retract
+    got = s.solve_first(parse_term(
+        "findall(I, (p(k, I), (retract(p(k, 3)) ; true), assert(p(k, 9))), L)"))
+    assert term_text(got["L"]) == "[1,1,2,3]"
+    assert ids(s, "p(k, I)") == [1, 2, 9, 9, 9, 9]
+    # a retract skips a clause another retract removed after it began
+    s = solver_for(":- dynamic p/2.\np(k, 1). p(k, 2). p(k, 3).\n")
+    got = [a["I"].value for a in s.solve_all(
+        parse_term("retract(p(k, I)), retract(p(k, 2))"))]
+    assert got == [1]
+    assert ids(s, "p(k, I)") == []
+
+
+def test_integer_and_quoted_atom_get_different_keys():
+    assert _first_arg_key(parse_term("1")) != _first_arg_key(parse_term("'1'"))
+    assert _first_arg_key(parse_term("a-1")) != _first_arg_key(parse_term("a-'1'"))
+    s = solver_for("p(1, 1). p('1', 2). p(a-1, 3). p(a-'1', 4).\n")
+    assert [ids(s, "p(%s, I)" % q) for q in ("1", "'1'", "a-1", "a-'1'")] == [
+        [1], [2], [3], [4]]
+
+
+FIRST_ARGS = ["a", "b", "'1'", "1", "2", "a-1", "a-'1'", "f(a, 1)", "[]",
+              "f(g(a))", "a-f(1)", "X", "f(X)", "a-X"]
+STEPS = st.tuples(
+    st.sampled_from(["assert", "add_clause", "retract", "retract_all"]),
+    st.sampled_from(FIRST_ARGS), st.sampled_from(FIRST_ARGS))
+
+
+def unifiable(query_first: str, fact: tuple) -> bool:
+    first, i = fact
+    return unify_terms(parse_term("p(%s, _)" % query_first),
+                       parse_term("p(%s, %d)" % (first, i))) is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(STEPS, max_size=25))
+def test_indexed_database_matches_a_list_of_live_facts(steps):
+    s = solver_for(":- dynamic p/2.\n")
+    live = []  # (first argument text, id) in insertion order
+    for n, (kind, arg, query) in enumerate(steps):
+        if kind == "assert":
+            assert s.solve_first(parse_term("assert(p(%s, %d))" % (arg, n))) is not None
+            live.append((arg, n))
+        elif kind == "add_clause":
+            s.db.add_clause(Clause(parse_term("p(%s, %d)" % (arg, n)), Atom("true")))
+            live.append((arg, n))
+        elif kind == "retract":
+            hits = [f for f in live if unifiable(arg, f)]
+            got = s.solve_first(parse_term("retract(p(%s, I))" % arg))
+            assert (got and got["I"].value) == (hits[0][1] if hits else None)
+            if hits:
+                live.remove(hits[0])
+        else:
+            hits = [f for f in live if unifiable(arg, f)]
+            got = s.solve_first(parse_term("findall(I, retract(p(%s, I)), L)" % arg))
+            assert term_text(got["L"]) == "[%s]" % ",".join(str(i) for _, i in hits)
+            live = [f for f in live if f not in hits]
+        assert ids(s, "p(%s, I)" % query) == [i for f, i in live if unifiable(query, (f, i))]

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from logicnode import engine
 from logicnode.protocols.chord import (
     ChordParams, ChordSim, make_addresses, node_id, static_experiment)
 from logicnode.protocols.spanning_tree import (
@@ -203,6 +204,43 @@ def test_tampered_reply_breaks_the_quorum():
     assert not st.committed
     st3 = sim.status(req, quorum=3)
     assert st3.committed and "r2" not in st3.senders
+
+
+def test_all_committed_agrees_with_status_per_request():
+    for tampered in (False, True):
+        sim = ZyzzyvaSim(batch_size=1, seed=0)
+        if tampered:
+            sim.net.links.set_corrupt("r2", CLIENT, tamper_mac_hook)
+        reqs = sim.run_requests(4) + ["never_sent"]
+        for quorum in (3, 4):
+            per_request = [sim.status(r, quorum) for r in reqs]
+            assert sim.statuses(reqs, quorum) == per_request
+            assert [st.committed for st in per_request] == [
+                quorum == 3 or not tampered] * 4 + [False]
+            assert sim.all_committed(reqs[:4], quorum) == (quorum == 3 or not tampered)
+            assert not sim.all_committed(reqs, quorum)
+
+
+def test_replica_work_per_request_does_not_grow_with_its_cache(monkeypatch):
+    renames = [0]
+    rename = engine._rename
+
+    def counted(clause):
+        renames[0] += 1
+        return rename(clause)
+
+    monkeypatch.setattr(engine, "_rename", counted)
+    sim = ZyzzyvaSim(batch_size=1, seed=0)
+    marks = []
+    for i in range(400):
+        if i % 100 == 0:
+            marks.append(renames[0])
+        sim.submit("q%d" % i)
+    sim.settle()
+    marks.append(renames[0])
+    first, last = marks[1] - marks[0], marks[4] - marks[3]
+    assert sim.all_committed(["q%d" % i for i in range(400)])
+    assert last <= 1.5 * first, (first, last)
 
 
 def test_tamper_hook_leaves_unsigned_frames_alone():
