@@ -21,9 +21,6 @@ _ALG_HASH = {
     ALG_HMAC_MD5: "md5",
 }
 
-MAC_LEN = {ALG_HMAC_SHA256: 32, ALG_HMAC_MD5: 16}
-
-
 class AuthError(Exception):
     pass
 

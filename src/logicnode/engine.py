@@ -2,8 +2,20 @@
 
 The solver mutates variable cells and undoes bindings through a trail, so
 backtracking is cheap.  Cut is clause-local and implemented with a barrier
-id per predicate activation.  Unknown predicates fail quietly: handler
-programs routinely query predicates before the first matching assert.
+id per predicate activation.  `Solver.solutions` opens the barrier of every
+goal whose solutions are collected or tested (a query, `findall`, `count`,
+`sendall`, the condition of a negation or of `->`), so a cut there ends only
+that goal's solutions.  Unknown predicates fail quietly: handler programs
+routinely query predicates before the first matching assert.
+
+Builtins come in two kinds.  Those that succeed at most once (the tests,
+arithmetic, `findall`, `count`, `assert`, and every builtin of a `Node` or of
+`NodeConfig.extra_builtins`) are plain functions `fn(solver, args) -> bool`;
+`prove` undoes the bindings one leaves when it returns false or when the
+search backtracks into it.  Only the control constructs (`!`, `,`, `;`, `->`)
+and the builtins that can succeed more than once (`member/2`, `retract/1`)
+are generators `fn(solver, args, depth)` that yield once per solution and
+undo their own bindings.
 
 Clauses are indexed on their first argument.  A first argument has a key
 when it is an atom, an integer, or a flat ground compound (one whose
@@ -20,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import operator as _op
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .reader import Clause, Program
 from .terms import (
@@ -44,11 +56,10 @@ class _Cut(Exception):
 
 
 class SolveLimits:
-    __slots__ = ("max_steps", "occurs_check")
+    __slots__ = ("max_steps",)
 
-    def __init__(self, max_steps: int = 10_000_000, occurs_check: bool = False):
+    def __init__(self, max_steps: int = 10_000_000):
         self.max_steps = max_steps
-        self.occurs_check = occurs_check
 
 
 class Database:
@@ -168,13 +179,6 @@ class Database:
         return out
 
 
-class BuiltinHost:
-    """Extension point for environment predicates (networking, node identity)."""
-
-    def lookup(self, name: str, arity: int) -> Optional[Callable]:
-        return None
-
-
 def _compile_skeleton(t: Term, slots: dict, names: list):
     """Code tree: (0, const) | (1, slot) | (2, name, arg codes)."""
     t = deref(t)
@@ -271,8 +275,12 @@ _UNBUILT = object()
 
 
 class Solver:
+    """`host`, if given, supplies environment builtins (networking, node
+    identity): `host.lookup(name, arity)` returns `fn(solver, args) -> bool`
+    or None."""
+
     def __init__(self, db: Database, limits: Optional[SolveLimits] = None,
-                 host: Optional[BuiltinHost] = None):
+                 host=None):
         self.db = db
         self.limits = limits or SolveLimits()
         self.host = host
@@ -294,20 +302,9 @@ class Solver:
         var.ref = term
         self.trail.append(var)
 
-    def _occurs(self, var: Var, term: Term) -> bool:
-        stack = [term]
-        while stack:
-            x = deref(stack.pop())
-            if x is var:
-                return True
-            if isinstance(x, Struct):
-                stack.extend(x.args)
-        return False
-
     def unify(self, a: Term, b: Term) -> bool:
         """Trails bindings; on failure the caller must undo to its mark."""
         stack = [(a, b)]
-        occurs = self.limits.occurs_check
         while stack:
             x, y = stack.pop()
             x = deref(x)
@@ -315,12 +312,8 @@ class Solver:
             if x is y:
                 continue
             if isinstance(x, Var):
-                if occurs and self._occurs(x, y):
-                    return False
                 self.bind(x, y)
             elif isinstance(y, Var):
-                if occurs and self._occurs(y, x):
-                    return False
                 self.bind(y, x)
             elif isinstance(x, Atom):
                 if not (isinstance(y, Atom) and y.name == x.name):
@@ -354,15 +347,19 @@ class Solver:
         else:
             key = (goal.name, len(goal.args))
             args = goal.args
-        builtin = _BUILTINS.get(key)
-        if builtin is not None:
-            yield from builtin(self, args, depth)
+        control = _CONTROL.get(key)
+        if control is not None:
+            yield from control(self, args, depth)
             return
-        if self.host is not None:
-            hb = self.host.lookup(*key)
-            if hb is not None:
-                yield from hb(self, args)
-                return
+        builtin = _BUILTINS.get(key)
+        if builtin is None and self.host is not None:
+            builtin = self.host.lookup(*key)
+        if builtin is not None:
+            m = self.mark()
+            if builtin(self, args):
+                yield
+            self.undo(m)
+            return
         clauses = self.db.clauses_for(key, args[0] if args else None)
         if clauses is None:
             return
@@ -387,15 +384,26 @@ class Solver:
                     raise
             self.undo(m)
 
-    def first(self, goal: Term) -> bool:
-        """One committed solution; bindings are kept on success."""
+    def solutions(self, goal: Term) -> Iterator[None]:
+        """Yield once per solution of `goal`, its bindings in place.
+
+        The goal runs under a cut barrier of its own: a cut in it ends its
+        solutions, not those of the caller.  When the solutions run out,
+        by failure or by a cut, every binding they made is undone.
+        """
         barrier = next(self._barrier)
+        m = self.mark()
         try:
-            for _ in self.prove(goal, barrier):
-                return True
+            yield from self.prove(goal, barrier)
         except _Cut as cut:
             if cut.depth != barrier:
                 raise
+            self.undo(m)
+
+    def first(self, goal: Term) -> bool:
+        """One committed solution; bindings are kept on success."""
+        for _ in self.solutions(goal):
+            return True
         return False
 
     # --- public entry points ---
@@ -414,50 +422,14 @@ class Solver:
 
     def solve_all(self, goal: Term) -> list:
         qvars = [v for v in term_vars(goal) if v.name != "_"]
-        out = []
         m = self.mark()
-        barrier = next(self._barrier)
         try:
-            for _ in self.prove(goal, barrier):
-                out.append({v.name: copy_term(v) for v in qvars})
-        except _Cut as cut:
-            if cut.depth != barrier:
-                raise
+            return [{v.name: copy_term(v) for v in qvars}
+                    for _ in self.solutions(goal)]
         except RecursionError:
             raise EngineError("step_limit", "resolution depth exhausted") from None
         finally:
             self.undo(m)
-        return out
-
-
-def unify_terms(a: Term, b: Term, occurs_check: bool = False) -> Optional[dict]:
-    """Pure most-general-unifier check: binds nothing permanently.
-
-    Returns {Var: Term} for the variables of both inputs, or None.
-    """
-    s = Solver(Database(), SolveLimits(occurs_check=occurs_check))
-    m = s.mark()
-    if not s.unify(a, b):
-        s.undo(m)
-        return None
-    mapping: dict = {}
-    out = {}
-    # collect original variables before undoing
-    seen = []
-    for t in (a, b):
-        stack = [t]
-        while stack:
-            x = stack.pop()
-            if isinstance(x, Var):
-                if not any(x is v for v in seen):
-                    seen.append(x)
-            elif isinstance(x, Struct):
-                stack.extend(x.args)
-    for v in seen:
-        if v.ref is not None:
-            out[v] = copy_term(v, mapping)
-    s.undo(m)
-    return out
 
 
 # --- arithmetic ---
@@ -500,49 +472,86 @@ def arith_eval(t: Term) -> int:
     raise EngineError("type", "not an arithmetic expression")
 
 
-# --- builtins ---
+# --- builtins that succeed at most once: fn(solver, args) -> bool ---
 
 
-def _bi_true(s, args, depth):
-    yield
+def _bi_true(s, args):
+    return True
 
 
-def _bi_fail(s, args, depth):
-    return
-    yield
+def _bi_fail(s, args):
+    return False
+
+
+def _bi_unify(s, args):
+    return s.unify(args[0], args[1])
+
+
+def _bi_struct_eq(s, args):
+    return struct_eq(args[0], args[1])
+
+
+def _bi_not_unifiable(s, args):
+    # undo here: a failed unification may leave bindings behind, and this
+    # builtin succeeds exactly then
+    m = s.mark()
+    ok = s.unify(args[0], args[1])
+    s.undo(m)
+    return not ok
+
+
+def _bi_negation(s, args):
+    return not s.first(args[0])
+
+
+def _bi_is(s, args):
+    return s.unify(args[0], Int(arith_eval(args[1])))
+
+
+def _cmp(op):
+    def bi(s, args):
+        return op(arith_eval(args[0]), arith_eval(args[1]))
+    return bi
+
+
+def _bi_findall(s, args):
+    template, goal, out = args
+    results = [copy_term(template) for _ in s.solutions(goal)]
+    return s.unify(out, mklist(results))
+
+
+def _bi_count(s, args):
+    goal, out = args
+    n = sum(1 for _ in s.solutions(goal))
+    return s.unify(out, Int(n))
+
+
+def _split_clause(t: Term) -> Clause:
+    t = deref(t)
+    if isinstance(t, Struct) and t.name == ":-" and len(t.args) == 2:
+        head = deref(t.args[0])
+        if not isinstance(head, (Atom, Struct)):
+            raise EngineError("type", "clause head is not callable")
+        return Clause(head, t.args[1])
+    if not isinstance(t, (Atom, Struct)):
+        raise EngineError("type", "clause is not callable")
+    return Clause(t, Atom("true"))
+
+
+def _bi_assert(s, args):
+    template = _split_clause(args[0])
+    snapshot = Clause(copy_term(template.head), copy_term(template.body))
+    s.db.assert_clause(snapshot)
+    return True
+
+
+# --- control constructs and builtins with several solutions:
+# generators fn(solver, args, depth) ---
 
 
 def _bi_cut(s, args, depth):
     yield
     raise _Cut(depth)
-
-
-def _bi_unify(s, args, depth):
-    m = s.mark()
-    if s.unify(args[0], args[1]):
-        yield
-    s.undo(m)
-
-
-def _bi_struct_eq(s, args, depth):
-    if struct_eq(args[0], args[1]):
-        yield
-
-
-def _bi_not_unifiable(s, args, depth):
-    m = s.mark()
-    ok = s.unify(args[0], args[1])
-    s.undo(m)
-    if not ok:
-        yield
-
-
-def _bi_negation(s, args, depth):
-    m = s.mark()
-    found = s.first(args[0])
-    s.undo(m)
-    if not found:
-        yield
 
 
 def _bi_and(s, args, depth):
@@ -558,7 +567,6 @@ def _bi_or(s, args, depth):
             yield from s.prove(left.args[1], depth)
             s.undo(m)
         else:
-            s.undo(m)
             yield from s.prove(args[1], depth)
         return
     yield from s.prove(args[0], depth)
@@ -572,59 +580,6 @@ def _bi_if_then(s, args, depth):
     s.undo(m)
 
 
-def _bi_is(s, args, depth):
-    v = Int(arith_eval(args[1]))
-    m = s.mark()
-    if s.unify(args[0], v):
-        yield
-    s.undo(m)
-
-
-def _cmp(op):
-    def bi(s, args, depth):
-        x = arith_eval(args[0])
-        y = arith_eval(args[1])
-        if op(x, y):
-            yield
-    return bi
-
-
-def _bi_findall(s, args, depth):
-    template, goal, out = args
-    results = []
-    m = s.mark()
-    barrier = next(s._barrier)
-    try:
-        for _ in s.prove(goal, barrier):
-            results.append(copy_term(template))
-    except _Cut as cut:
-        if cut.depth != barrier:
-            raise
-    s.undo(m)
-    m = s.mark()
-    if s.unify(out, mklist(results)):
-        yield
-    s.undo(m)
-
-
-def _bi_count(s, args, depth):
-    goal, out = args
-    n = 0
-    m = s.mark()
-    barrier = next(s._barrier)
-    try:
-        for _ in s.prove(goal, barrier):
-            n += 1
-    except _Cut as cut:
-        if cut.depth != barrier:
-            raise
-    s.undo(m)
-    m = s.mark()
-    if s.unify(out, Int(n)):
-        yield
-    s.undo(m)
-
-
 def _bi_member(s, args, depth):
     item = args[0]
     t = deref(args[1])
@@ -634,25 +589,6 @@ def _bi_member(s, args, depth):
             yield
         s.undo(m)
         t = deref(t.args[1])
-
-
-def _split_clause(t: Term) -> Clause:
-    t = deref(t)
-    if isinstance(t, Struct) and t.name == ":-" and len(t.args) == 2:
-        head = deref(t.args[0])
-        if not isinstance(head, (Atom, Struct)):
-            raise EngineError("type", "clause head is not callable")
-        return Clause(head, t.args[1])
-    if not isinstance(t, (Atom, Struct)):
-        raise EngineError("type", "clause is not callable")
-    return Clause(t, Atom("true"))
-
-
-def _bi_assert(s, args, depth):
-    template = _split_clause(args[0])
-    snapshot = Clause(copy_term(template.head), copy_term(template.body))
-    s.db.assert_clause(snapshot)
-    yield
 
 
 def _bi_retract(s, args, depth):
@@ -680,14 +616,10 @@ _BUILTINS = {
     ("true", 0): _bi_true,
     ("fail", 0): _bi_fail,
     ("false", 0): _bi_fail,
-    ("!", 0): _bi_cut,
     ("=", 2): _bi_unify,
     ("==", 2): _bi_struct_eq,
     ("\\=", 2): _bi_not_unifiable,
     ("\\+", 1): _bi_negation,
-    (",", 2): _bi_and,
-    (";", 2): _bi_or,
-    ("->", 2): _bi_if_then,
     ("is", 2): _bi_is,
     ("=:=", 2): _cmp(_op.eq),
     ("<", 2): _cmp(_op.lt),
@@ -696,7 +628,14 @@ _BUILTINS = {
     (">=", 2): _cmp(_op.ge),
     ("findall", 3): _bi_findall,
     ("count", 2): _bi_count,
-    ("member", 2): _bi_member,
     ("assert", 1): _bi_assert,
+}
+
+_CONTROL = {
+    ("!", 0): _bi_cut,
+    (",", 2): _bi_and,
+    (";", 2): _bi_or,
+    ("->", 2): _bi_if_then,
+    ("member", 2): _bi_member,
     ("retract", 1): _bi_retract,
 }

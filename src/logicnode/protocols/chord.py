@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..auth import digest_int
-from ..reader import parse_term, serialize
+from ..reader import parse_term, serialize, term_text
 from ..runtime import NodeConfig
 from ..sim import LinkModel, SimNetwork
 from ..terms import Atom, Int
@@ -134,7 +134,6 @@ class ChordSim:
     # --- stabilization ---
 
     def _state_snapshot(self):
-        from ..reader import term_text
         snap = {}
         for addr in self.members:
             node = self.net.nodes.get(addr)

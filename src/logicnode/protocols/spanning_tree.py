@@ -9,7 +9,7 @@ from typing import Dict, List, Optional
 from ..runtime import NodeConfig
 from ..sim import SimNetwork
 from ..terms import Atom
-from ..reader import parse_term
+from ..reader import _atom_text, parse_term
 from . import facts, load_asset
 
 
@@ -22,24 +22,20 @@ def run_spanning_tree(adjacency: Dict[str, List[str]], root: str,
         net.add_node(NodeConfig(
             address=name,
             program=program,
-            facts=facts(*("neighbor(%s)" % _atom(n) for n in nbrs)),
+            facts=facts(*("neighbor(%s)" % _atom_text(n) for n in nbrs)),
         ))
     for k in range(kickoffs):
-        net.inject_term(k, root, parse_term("span_tree(%s, %s)" % (_atom(root), _atom(root))))
+        net.inject_term(k, root, parse_term(
+            "span_tree(%s, %s)" % (_atom_text(root), _atom_text(root))))
     net.run_to_idle()
     return net
-
-
-def _atom(name: str) -> str:
-    from ..reader import _atom_text
-    return _atom_text(name)
 
 
 def extract_tree(net: SimNetwork, root: str) -> Dict[str, Optional[str]]:
     """Per-node parent pointer for the given root, None when absent."""
     out: Dict[str, Optional[str]] = {}
     for name in net.nodes:
-        rows = net.query_all(name, "tree(%s, P)" % _atom(root))
+        rows = net.query_all(name, "tree(%s, P)" % _atom_text(root))
         if not rows:
             out[name] = None
         else:

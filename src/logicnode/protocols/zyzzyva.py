@@ -58,10 +58,7 @@ class ZyzzyvaSim:
     def _bi_compute(self, solver, args):
         # echo, but counted: cache hits must not come through here
         self.compute_calls += 1
-        m = solver.mark()
-        if solver.unify(args[0], args[1]):
-            yield
-        solver.undo(m)
+        return solver.unify(args[0], args[1])
 
     # --- driving ---
 

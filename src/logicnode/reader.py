@@ -457,19 +457,3 @@ def deserialize(payload: bytes) -> Term:
     except UnicodeDecodeError as e:
         raise ReaderError("payload is not valid UTF-8: %s" % e)
     return parse_term(text)
-
-
-def program_text(prog: Program) -> str:
-    lines = []
-    for d in prog.directives:
-        specs = ", ".join("%s/%d" % (n, a) for n, a in d.indicators)
-        lines.append(":- %s %s." % (d.kind, specs))
-    for c in prog.clauses:
-        names: dict = {}
-        head = term_text(c.head, names)
-        body = deref(c.body)
-        if isinstance(body, Atom) and body.name == "true":
-            lines.append("%s." % head)
-        else:
-            lines.append("%s :- %s." % (head, term_text(c.body, names)))
-    return "\n".join(lines) + "\n"

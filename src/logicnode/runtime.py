@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
-from .auth import KeyStore
-from .engine import Database, EngineError, SolveLimits, Solver, _Cut
+from .auth import KeyStore, digest_int
+from .engine import Database, EngineError, SolveLimits, Solver
 from .reader import Clause, Program, ReaderError, deserialize, serialize, term_text
 from .terms import Atom, Int, Term, copy_term, deref, indicator
 from .wire import Envelope
@@ -35,7 +36,8 @@ class NodeConfig:
     policy: str = "fail"
     limits: SolveLimits = field(default_factory=SolveLimits)
     keystore: Optional[KeyStore] = None
-    extra_builtins: dict = field(default_factory=dict)  # (name, arity) -> fn
+    # (name, arity) -> fn(solver, args) -> bool
+    extra_builtins: dict = field(default_factory=dict)
     debug_endpoint: bool = True
 
     def __post_init__(self):
@@ -80,10 +82,10 @@ class Node:
         self._sends_in_dispatch = 0
         self._builtins = {
             ("this_node", 1): self._bi_this_node,
-            ("send", 2): self._bi_send,
-            ("sendall", 3): self._bi_sendall,
-            ("send_signed", 2): self._bi_send_signed,
-            ("sendall_signed", 3): self._bi_sendall_signed,
+            ("send", 2): partial(self._bi_send, signed=False),
+            ("sendall", 3): partial(self._bi_sendall, signed=False),
+            ("send_signed", 2): partial(self._bi_send, signed=True),
+            ("sendall_signed", 3): partial(self._bi_sendall, signed=True),
             ("alarm", 2): self._bi_alarm,
             ("signed", 0): self._bi_signed,
             ("signed_by", 1): self._bi_signed_by1,
@@ -92,7 +94,7 @@ class Node:
         }
         self._builtins.update(config.extra_builtins)
 
-    # --- BuiltinHost interface ---
+    # --- builtin host interface of the engine's Solver ---
 
     def lookup(self, name: str, arity: int) -> Optional[Callable]:
         return self._builtins.get((name, arity))
@@ -120,9 +122,7 @@ class Node:
         self.metrics.delivered += 1
         self._ctx = _HandlerContext(envelope)
         self._sends_in_dispatch = 0
-        limits = SolveLimits(self.config.limits.max_steps,
-                             self.config.limits.occurs_check)
-        solver = Solver(self.db, limits, host=self)
+        solver = Solver(self.db, self.config.limits, host=self)
         try:
             if solver.solve_first(term) is not None:
                 outcome = "success"
@@ -169,49 +169,26 @@ class Node:
         self._sends_in_dispatch += 1
         return True
 
-    # --- builtins ---
+    # --- builtins: fn(solver, args) -> bool ---
 
     def _bi_this_node(self, solver, args):
-        m = solver.mark()
-        if solver.unify(args[0], Atom(self.address)):
-            yield
-        solver.undo(m)
+        return solver.unify(args[0], Atom(self.address))
 
-    def _send_impl(self, solver, args, signed):
+    def _bi_send(self, solver, args, signed):
         dest = self._resolve_address(args[0])
-        if self._transmit(dest, deref(args[1]), signed):
-            yield
+        return self._transmit(dest, deref(args[1]), signed)
 
-    def _bi_send(self, solver, args):
-        yield from self._send_impl(solver, args, False)
-
-    def _bi_send_signed(self, solver, args):
-        yield from self._send_impl(solver, args, True)
-
-    def _sendall_impl(self, solver, args, signed):
+    def _bi_sendall(self, solver, args, signed):
         destv, generator, message = args
         pairs = []
-        m = solver.mark()
-        barrier = next(solver._barrier)
-        try:
-            for _ in solver.prove(generator, barrier):
-                mapping: dict = {}
-                pairs.append((copy_term(destv, mapping), copy_term(message, mapping)))
-        except _Cut as cut:
-            if cut.depth != barrier:
-                raise
-        solver.undo(m)
+        for _ in solver.solutions(generator):
+            mapping: dict = {}
+            pairs.append((copy_term(destv, mapping), copy_term(message, mapping)))
         for dest_t, msg_t in pairs:
             dest = self._resolve_address(dest_t)
             if not self._transmit(dest, msg_t, signed):
-                return
-        yield
-
-    def _bi_sendall(self, solver, args):
-        yield from self._sendall_impl(solver, args, False)
-
-    def _bi_sendall_signed(self, solver, args):
-        yield from self._sendall_impl(solver, args, True)
+                return False
+        return True
 
     def _bi_alarm(self, solver, args):
         msg = deref(args[0])
@@ -220,7 +197,7 @@ class Node:
             raise EngineError("type", "alarm delay must be a non-negative integer")
         env = Envelope(self.address, serialize(msg), None, "alarm")
         self.transport.schedule_alarm(self.address, delay.value, env)
-        yield
+        return True
 
     # --- signature checks ---
 
@@ -240,32 +217,22 @@ class Node:
         return ctx.state == "valid"
 
     def _bi_signed(self, solver, args):
-        if self._verified():
-            yield
+        return self._verified()
 
     def _bi_signed_by1(self, solver, args):
-        if self._verified():
-            m = solver.mark()
-            if solver.unify(args[0], Atom(self._ctx.envelope.sender)):
-                yield
-            solver.undo(m)
+        return (self._verified()
+                and solver.unify(args[0], Atom(self._ctx.envelope.sender)))
 
     def _bi_signed_by2(self, solver, args):
-        if self._verified():
-            env = self._ctx.envelope
-            m = solver.mark()
-            if (solver.unify(args[0], Atom(env.sender))
-                    and solver.unify(args[1], Atom(env.mac.data.hex()))):
-                yield
-            solver.undo(m)
+        if not self._verified():
+            return False
+        env = self._ctx.envelope
+        return (solver.unify(args[0], Atom(env.sender))
+                and solver.unify(args[1], Atom(env.mac.data.hex())))
 
     def _bi_digest_id(self, solver, args):
-        from .auth import digest_int
         value = digest_int(serialize(deref(args[0])))
-        m = solver.mark()
-        if solver.unify(args[1], Int(value)):
-            yield
-        solver.undo(m)
+        return solver.unify(args[1], Int(value))
 
 
 def start_node(config: NodeConfig, transport) -> Node:

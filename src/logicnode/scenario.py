@@ -30,10 +30,11 @@ from pathlib import Path
 from typing import List, Optional
 
 from .auth import load_key_file
-from .reader import ReaderError, parse_program, parse_term
+from .reader import Clause, ReaderError, parse_program, parse_term
 from .runtime import NodeConfig
 from .sim import SimNetwork
 from .protocols import asset_path
+from .terms import Atom
 
 _METRIC_OPS = {
     "==": operator.eq, "!=": operator.ne, "<": operator.lt,
@@ -194,8 +195,6 @@ class Scenario:
                 if node is None:
                     raise ScenarioError(st.line_no, "unknown node %r" % addr)
             if st.op == "fact":
-                from .reader import Clause
-                from .terms import Atom
                 node.db.add_clause(Clause(st.args[1], Atom("true")))
             elif st.op == "facts":
                 p = self.base / st.args[1]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .engine import Solver
-from .reader import parse_term, term_text
+from .reader import parse_term, serialize
 from .runtime import LinkError, Node, NodeConfig
 from .terms import Term
 from .wire import Envelope, FrameError, decode_frame, encode_envelope
@@ -147,7 +147,6 @@ class SimNetwork:
 
     def inject_term(self, at: float, to: str, term: Term, sender: str = "injector",
                     keystore=None) -> None:
-        from .reader import serialize
         payload = serialize(term)
         mac = None
         if keystore is not None:

@@ -79,7 +79,6 @@ class Struct(Term):
 
 
 EMPTY_LIST = Atom("[]")
-TRUE = Atom("true")
 
 
 def deref(t: Term) -> Term:
@@ -118,19 +117,30 @@ def indicator(t: Term):
 
 
 def struct_eq(a: Term, b: Term) -> bool:
-    a = deref(a)
-    b = deref(b)
-    if isinstance(a, Var) or isinstance(b, Var):
-        return a is b
-    if isinstance(a, Atom):
-        return isinstance(b, Atom) and a.name == b.name
-    if isinstance(a, Int):
-        return isinstance(b, Int) and a.value == b.value
-    if isinstance(a, Struct):
-        if not (isinstance(b, Struct) and b.name == a.name and len(b.args) == len(a.args)):
+    """Structural identity (`==`): equal shapes, and a variable equals only itself."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        x = deref(x)
+        y = deref(y)
+        if x is y:
+            continue
+        if isinstance(x, Var) or isinstance(y, Var):
             return False
-        return all(struct_eq(x, y) for x, y in zip(a.args, b.args))
-    return False
+        if isinstance(x, Atom):
+            if not (isinstance(y, Atom) and x.name == y.name):
+                return False
+        elif isinstance(x, Int):
+            if not (isinstance(y, Int) and x.value == y.value):
+                return False
+        elif isinstance(x, Struct):
+            if not (isinstance(y, Struct) and y.name == x.name
+                    and len(y.args) == len(x.args)):
+                return False
+            stack.extend(zip(x.args, y.args))
+        else:
+            return False
+    return True
 
 
 def term_vars(t: Term) -> list:
@@ -148,24 +158,35 @@ def term_vars(t: Term) -> list:
 
 
 def copy_term(t: Term, mapping: Optional[dict] = None) -> Term:
-    """Copy with fresh variables (a snapshot independent of the trail)."""
+    """Copy with fresh variables (a snapshot independent of the trail).
+
+    Walks with an explicit stack, so the depth of a term (the length of a
+    list) is not bounded by the interpreter's recursion limit.
+    """
     if mapping is None:
         mapping = {}
-
-    def go(x: Term) -> Term:
+    done: list = []  # copies, in order
+    # terms still to copy; a (name, arity) entry builds a compound from the
+    # last `arity` copies
+    todo = [t]
+    while todo:
+        x = todo.pop()
+        if type(x) is tuple:
+            name, n = x
+            args = tuple(done[-n:])
+            del done[-n:]
+            done.append(Struct(name, args))
+            continue
         x = deref(x)
         if isinstance(x, Var):
             got = mapping.get(id(x))
             if got is None:
                 got = Var(x.name)
                 mapping[id(x)] = got
-            return got
-        if isinstance(x, Struct):
-            return Struct(x.name, tuple(go(a) for a in x.args))
-        return x
-
-    return go(t)
-
-
-def is_ground(t: Term) -> bool:
-    return not term_vars(t)
+            done.append(got)
+        elif isinstance(x, Struct):
+            todo.append((x.name, len(x.args)))
+            todo.extend(reversed(x.args))
+        else:
+            done.append(x)
+    return done[0]

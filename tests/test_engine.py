@@ -2,11 +2,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logicnode.engine import (
-    Database, EngineError, SolveLimits, Solver, _first_arg_key, arith_eval,
-    unify_terms)
+from logicnode.engine import Database, EngineError, SolveLimits, Solver, _first_arg_key
 from logicnode.reader import Clause, parse_program, parse_term, term_text
-from logicnode.terms import Atom, Int, Struct, Var
+from logicnode.terms import Atom, copy_term, list_parts
+
+
+def unify_terms(a, b):
+    """Most general unifier of `a` and `b` as {Var: Term} for each variable
+    it binds, or None; leaves both terms as they were."""
+    s = Solver(Database())
+    ok = s.unify(a, b)
+    mapping: dict = {}
+    out = {v: copy_term(v, mapping) for v in s.trail} if ok else None
+    s.undo(0)
+    return out
 
 
 def solver_for(src: str, max_steps: int = 10_000_000) -> Solver:
@@ -56,6 +65,26 @@ def test_cut_is_clause_local():
     assert len(got2) == 1
 
 
+# A cut inside an all-solutions goal (findall, count, negation, an
+# if-then-else condition, a top-level query) ends that goal's solutions only.
+CUT_LOCALITY = [
+    ("p(1). p(2). p(3).\n", "findall(X, (p(X), !), L)", [{"L": "[1]"}]),
+    ("", "count((member(X, [a, b]), !), N)", [{"N": "1"}]),
+    ("", "\\+ (X = a, !, fail), X = b", [{"X": "b"}]),
+    ("", "( (X = a, !, fail) -> R = then ; R = else ), X = b",
+     [{"R": "else", "X": "b"}]),
+    ("p(1). p(2). p(3).\n", "(p(X), !) ; X = 9", [{"X": "1"}]),
+    ("", "assert(d(1)), assert(d(2)), findall(X, (retract(d(X)), !), L), "
+         "findall(Y, d(Y), Left)", [{"L": "[1]", "Left": "[2]"}]),
+]
+
+
+@pytest.mark.parametrize("src, goal, expected", CUT_LOCALITY)
+def test_cut_stays_local_to_an_all_solutions_goal(src, goal, expected):
+    got = all_answers(src, goal)
+    assert [{k: term_text(a[k]) for k in expected[0]} for a in got] == expected
+
+
 def test_if_then_else():
     src = "t(X, yes) :- ( X > 0 -> true ; fail ).\nt(_, no).\n"
     got = [term_text(s["R"]) for s in all_answers(src, "t(1, R)")]
@@ -88,6 +117,13 @@ def test_findall_collects_in_order():
     assert term_text(got["L"]) == "[3,1,2]"
 
 
+def test_findall_over_a_thousand_facts():
+    src = "".join("p(%d).\n" % i for i in range(1000))
+    items, tail = list_parts(first_answer(src, "findall(X, p(X), L)")["L"])
+    assert [t.value for t in items] == list(range(1000))
+    assert tail == Atom("[]")
+
+
 def test_findall_empty_on_no_solutions():
     got = first_answer("p(a).\n", "findall(X, q(X), L)")
     assert term_text(got["L"]) == "[]"
@@ -110,6 +146,10 @@ def test_structural_equality_and_not_unifiable():
     assert first_answer("", "X = a, f(X) == f(a)") is not None
     assert first_answer("", "a \\= b") is not None
     assert first_answer("", "X \\= a") is None
+    # a failed unification leaves no bindings: whichever order unify takes
+    # the arguments in, one of these binds X before it fails
+    assert first_answer("", "f(a, X) \\= f(c, b), X = z") is not None
+    assert first_answer("", "f(X, a) \\= f(b, c), X = z") is not None
 
 
 def test_assert_makes_dynamic_and_retract_is_resatisfiable():
@@ -204,12 +244,6 @@ def test_unify_terms_helper():
     rendered = sorted((v.name, term_text(t)) for v, t in got.items())
     assert rendered == [("X", "a"), ("Y", "b")]
     assert unify_terms(parse_term("f(a)"), parse_term("f(b)")) is None
-
-
-def test_occurs_check_optional():
-    x = Var("X")
-    cyclic_a = Struct("f", (x,))
-    assert unify_terms(x, cyclic_a, occurs_check=True) is None
 
 
 def test_retract_drain_idiom():

@@ -2,11 +2,28 @@ import pytest
 from hypothesis import given, settings
 
 from logicnode.reader import (
-    ReaderError, deserialize, parse_program, parse_term, program_text,
-    serialize, term_text)
+    Program, ReaderError, deserialize, parse_program, parse_term, serialize,
+    term_text)
 from logicnode.terms import Atom, Int, Struct, Var, deref
 
 from term_gen import terms
+
+
+def program_text(prog: Program) -> str:
+    """Source text of a parsed program: its directives, then its clauses."""
+    lines = []
+    for d in prog.directives:
+        specs = ", ".join("%s/%d" % (n, a) for n, a in d.indicators)
+        lines.append(":- %s %s." % (d.kind, specs))
+    for c in prog.clauses:
+        names: dict = {}
+        head = term_text(c.head, names)
+        body = deref(c.body)
+        if isinstance(body, Atom) and body.name == "true":
+            lines.append("%s." % head)
+        else:
+            lines.append("%s :- %s." % (head, term_text(c.body, names)))
+    return "\n".join(lines) + "\n"
 
 
 def variant_eq(a, b, forward=None, backward=None):

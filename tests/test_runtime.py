@@ -144,6 +144,24 @@ got(X) :- assert(got_fact(X)).
     assert net.holds("b", "got_fact(b)")
 
 
+def test_cut_in_sendall_generator_sends_one_message():
+    src = """
+:- event kick/0, got/1.
+:- dynamic got_fact/1.
+peer(a). peer(b).
+kick :- sendall(P, (peer(P), !), got(P)).
+got(X) :- assert(got_fact(X)).
+"""
+    net = SimNetwork(seed=1)
+    for addr in ("n1", "a", "b"):
+        net.add_node(NodeConfig(addr, parse_program(src)))
+    net.inject_term(0, "n1", parse_term("kick"))
+    net.run_to_idle()
+    assert net.nodes["n1"].metrics.sends == 1
+    assert net.holds("a", "got_fact(a)")
+    assert not net.holds("b", "got_fact(_)")
+
+
 def test_signed_send_and_lazy_verification():
     src = """
 :- event hello/1.

@@ -1,6 +1,6 @@
 from logicnode.terms import (
     Atom, EMPTY_LIST, INT64_MAX, INT64_MIN, Int, Struct, Var, copy_term,
-    deref, is_ground, list_parts, mklist, term_vars)
+    deref, list_parts, mklist, struct_eq, term_vars)
 
 
 def test_deref_follows_chains():
@@ -40,9 +40,17 @@ def test_copy_term_snapshots_bindings():
     assert c.args[0] == Atom("bound")
 
 
-def test_is_ground():
-    assert is_ground(Struct("f", (Atom("a"), Int(1))))
-    assert not is_ground(Struct("f", (Var("X"),)))
+def test_copy_and_compare_a_long_list():
+    x = Var("X")
+    long = mklist([Int(i) for i in range(99_999)] + [x])
+    copy = copy_term(long)
+    items, tail = list_parts(copy)
+    assert [t.value for t in items[:-1]] == list(range(99_999))
+    assert isinstance(items[-1], Var) and items[-1] is not x
+    assert tail == EMPTY_LIST
+    assert struct_eq(long, long)
+    assert not struct_eq(long, copy)  # the last variables differ
+    assert struct_eq(copy, copy_term(copy, {id(items[-1]): items[-1]}))
 
 
 def test_int64_bounds():
