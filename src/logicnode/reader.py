@@ -5,6 +5,12 @@ usual operators, `%` line comments, quoted atoms, bracket lists.  The wire
 form is deterministic canonical text: every compound except lists is written
 functionally, atoms are quoted unless they look like plain identifiers and
 variables are renamed `_G1`, `_G2`, ... in order of first appearance.
+
+Two limits keep any input, program text or a peer's payload, from reaching
+the interpreter's own limits: a term may nest at most `MAX_DEPTH` levels of
+brackets and operators, and an integer literal may have at most
+`MAX_INT_DIGITS` digits (int64 needs 19).  Past either one the reader
+raises `ReaderError`.
 """
 
 from __future__ import annotations
@@ -53,6 +59,9 @@ PREFIX_OPS = {
     "-": (200, "fy"),
 }
 
+MAX_DEPTH = 200  # the shipped programs nest at most 13 levels
+MAX_INT_DIGITS = 19
+
 _SYMBOL_CHARS = set("+-*/\\^<>=~:.?@#&$")
 _SOLO = {"!", ";"}
 _NAME_RE = re.compile(r"[a-zA-Z0-9_]*")
@@ -98,6 +107,9 @@ def tokenize(text: str) -> list:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > MAX_INT_DIGITS:
+                raise ReaderError("integer literal longer than %d digits"
+                                  % MAX_INT_DIGITS, tl, tc)
             toks.append(Token("int", text[i:j], tl, tc, value=int(text[i:j])))
             adv(j - i)
             continue
@@ -187,6 +199,7 @@ class _Parser:
         self.toks = tokens
         self.pos = 0
         self.vars: dict = {}
+        self.depth = 0  # nesting of the term being read, see `parse`
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -219,6 +232,13 @@ class _Parser:
     # --- expressions ---
 
     def parse(self, maxp: int) -> Term:
+        # every bracket, prefix operator and right operand is read by a
+        # nested call, and each operator applied in the loop below nests
+        # `left` one level deeper: both count against MAX_DEPTH
+        outer = self.depth
+        if outer >= MAX_DEPTH:
+            self.err("term nested deeper than %d levels" % MAX_DEPTH)
+        self.depth += 1
         left, leftp = self.primary(maxp)
         while True:
             t = self.peek()
@@ -240,6 +260,8 @@ class _Parser:
             right = self.parse(ra)
             left = Struct(name, (left, right))
             leftp = p
+            self.depth += 1
+        self.depth = outer
         return left
 
     def primary(self, maxp: int):

@@ -52,6 +52,7 @@ class Metrics:
     decode_errors: int = 0
     handler_failures: int = 0
     handler_errors: int = 0
+    internal_errors: int = 0
     sends: int = 0
 
     def as_dict(self) -> dict:
@@ -102,7 +103,23 @@ class Node:
     # --- dispatch ---
 
     def dispatch(self, envelope: Envelope):
-        """Evaluate one envelope; returns (outcome, term_text, sends)."""
+        """Evaluate one envelope; returns (outcome, term_text, sends).
+
+        No exception escapes: one that neither the reader nor the engine
+        raises on purpose is counted in `Metrics.internal_errors`, logged
+        and reported as outcome `error:internal`.
+        """
+        self._sends_in_dispatch = 0
+        try:
+            return self._evaluate(envelope)
+        except Exception:
+            self.metrics.internal_errors += 1
+            log.exception("%s: internal error in dispatch", self.address)
+            return "error:internal", "", self._sends_in_dispatch
+        finally:
+            self._ctx = None
+
+    def _evaluate(self, envelope: Envelope):
         try:
             term = deserialize(envelope.payload)
         except ReaderError:
@@ -121,7 +138,6 @@ class Node:
             return "discarded", text, 0
         self.metrics.delivered += 1
         self._ctx = _HandlerContext(envelope)
-        self._sends_in_dispatch = 0
         solver = Solver(self.db, self.config.limits, host=self)
         try:
             if solver.solve_first(term) is not None:
@@ -133,8 +149,6 @@ class Node:
             outcome = "error:%s" % e.kind
             self.metrics.handler_errors += 1
             log.warning("%s: handler %s aborted: %s", self.address, text, e)
-        finally:
-            self._ctx = None
         return outcome, text, self._sends_in_dispatch
 
     def dump_facts(self, name: str, arity: int) -> str:

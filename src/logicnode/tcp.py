@@ -1,28 +1,41 @@
 """Real TCP transport: length-prefixed frames, cached outbound connections.
 
-One transport serves one node.  Reader threads decode inbound frames into a
-queue; a single loop thread interleaves queued envelopes with due alarms,
-so dispatch stays strictly one handler at a time.  Outbound connections are
-opened on first use and cached until they break (one reconnect attempt) or
-the cache overflows (oldest idle evicted).
+A transport serves one node from one thread, the one that calls `run()` (or
+that `start()` returns), in a `selectors` loop: it accepts connections, reads
+ready sockets through each connection's `StreamDecoder` into one inbox, which
+also takes sends to the node itself and `$dump` requests, dispatches the
+inbox in order and fires due alarms between envelopes, so handlers run one at
+a time.  A connection whose framing breaks (a frame over
+`wire.MAX_FRAME_BYTES` included) is dropped; one beyond `max_connections` is
+closed at once.  Outbound connections are cached until they break (one
+reconnect attempt) or the cache is full (oldest idle evicted).  They are
+non-blocking: while a peer's window is full, `send` reads inbound frames into
+the inbox without dispatching them, so flooding nodes both make progress.
+
+Handlers call `send` and `schedule_alarm` on the loop thread.  `stop` may be
+called from any thread; the loop then closes every socket within `POLL_S`.
+Tests also call `send` (small sends, while the loop sends nothing) and
+`schedule_alarm` (it may fire up to `POLL_S` late) from their own thread.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import queue
+import selectors
 import socket
 import threading
 import time
+from collections import deque
 from typing import Optional, Tuple
 
 from .runtime import LinkError, Node
 from .terms import Atom, Int, Struct, deref
 from .reader import ReaderError, deserialize
-from .wire import Envelope, StreamDecoder, encode_envelope
+from .wire import Envelope, FrameError, StreamDecoder, encode_envelope
 
 DUMP_FUNCTOR = "$dump"
+POLL_S = 0.2  # longest wait in select, so that stop() is seen promptly
 
 
 def split_hostport(address: str) -> Tuple[str, int]:
@@ -39,23 +52,21 @@ class TcpTransport:
         self.max_connections = max_connections
         self.connect_timeout = connect_timeout
         self._node: Optional[Node] = None
-        self._queue: "queue.Queue" = queue.Queue()
-        self._alarms: list = []
+        self._inbox: deque = deque()  # (envelope, connection of a $dump or None)
+        self._alarms: list = []  # heap of (due ms, seq, envelope)
         self._alarm_seq = itertools.count()
-        self._alarm_lock = threading.Lock()
         self._conns: dict = {}  # peer -> (socket, last_used)
-        self._conn_lock = threading.Lock()
+        self._inbound = 0
         self._stop = threading.Event()
-        host, port = split_hostport(bind_address)
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self._running = False
         try:
-            self._listener.bind((host, port))
+            self._listener = socket.create_server(split_hostport(bind_address),
+                                                  backlog=128)
         except OSError as e:
-            self._listener.close()
             raise LinkError("cannot bind %s: %s" % (bind_address, e))
-        self._listener.listen(128)
-        self._threads: list = []
+        self._listener.setblocking(False)
+        self._sel = selectors.DefaultSelector()
+        self._sel.register(self._listener, selectors.EVENT_READ)
         self.connections_opened = 0
 
     # --- transport interface ---
@@ -67,146 +78,138 @@ class TcpTransport:
             raise LinkError("node address %s does not match bind %s"
                             % (address, self.bind_address))
         self._node = node
-        t = threading.Thread(target=self._accept_loop, daemon=True)
-        t.start()
-        self._threads.append(t)
 
     def now(self, address: str = "") -> float:
         return time.monotonic() * 1000.0
 
     def schedule_alarm(self, address: str, delay_ms: float, env: Envelope) -> None:
-        with self._alarm_lock:
-            heapq.heappush(self._alarms,
-                           (self.now() + delay_ms, next(self._alarm_seq), env))
-        self._queue.put(("wake",))
+        heapq.heappush(self._alarms, (self.now() + delay_ms, next(self._alarm_seq), env))
 
     def send(self, frm: str, to: str, env: Envelope) -> None:
         if to == self.bind_address:
-            self._queue.put(("env", env))
+            self._inbox.append((env, None))
             return
         frame = encode_envelope(env)
-        sock = self._connection(to)
         try:
-            sock.sendall(frame)
+            self._sendall(self._connection(to), frame)
         except OSError:
             self._evict(to)
-            sock = self._connection(to)  # one reconnect attempt
             try:
-                sock.sendall(frame)
+                self._sendall(self._connection(to), frame)  # one reconnect attempt
             except OSError as e:
                 self._evict(to)
                 raise LinkError("send to %s failed: %s" % (to, e))
 
+    def _sendall(self, sock: socket.socket, data: bytes) -> None:
+        """Write all of data, reading inbound frames while the peer is full."""
+        view = memoryview(data)
+        while view:
+            try:
+                view = view[sock.send(view):]
+            except BlockingIOError:
+                if self._stop.is_set():
+                    raise OSError("transport stopped")
+                self._sel.register(sock, selectors.EVENT_WRITE)
+                try:
+                    self._poll(POLL_S)
+                finally:
+                    self._sel.unregister(sock)
+
     # --- connection cache ---
 
     def _connection(self, peer: str) -> socket.socket:
-        with self._conn_lock:
-            entry = self._conns.get(peer)
-            if entry is not None:
-                self._conns[peer] = (entry[0], time.monotonic())
-                return entry[0]
-        host, port = split_hostport(peer)
+        entry = self._conns.get(peer)
+        if entry is not None:
+            self._conns[peer] = (entry[0], time.monotonic())
+            return entry[0]
         try:
-            sock = socket.create_connection((host, port), timeout=self.connect_timeout)
+            sock = socket.create_connection(split_hostport(peer),
+                                            timeout=self.connect_timeout)
         except OSError as e:
             raise LinkError("cannot connect to %s: %s" % (peer, e))
-        sock.settimeout(None)
+        sock.setblocking(False)
         self.connections_opened += 1
-        with self._conn_lock:
-            if len(self._conns) >= self.max_connections:
-                oldest = min(self._conns, key=lambda p: self._conns[p][1])
-                old_sock, _ = self._conns.pop(oldest)
-                try:
-                    old_sock.close()
-                except OSError:
-                    pass
-            self._conns[peer] = (sock, time.monotonic())
+        if len(self._conns) >= self.max_connections:
+            self._evict(min(self._conns, key=lambda p: self._conns[p][1]))
+        self._conns[peer] = (sock, time.monotonic())
         return sock
 
     def _evict(self, peer: str) -> None:
-        with self._conn_lock:
-            entry = self._conns.pop(peer, None)
+        entry = self._conns.pop(peer, None)
         if entry is not None:
-            try:
-                entry[0].close()
-            except OSError:
-                pass
+            entry[0].close()
 
     # --- inbound ---
 
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return
-            t = threading.Thread(target=self._reader_loop, args=(conn,), daemon=True)
-            t.start()
-            self._threads.append(t)
+    def _poll(self, timeout: float) -> None:
+        """Accept and read whatever is ready; dispatch nothing."""
+        for key, _ in self._sel.select(timeout):
+            if key.fileobj is self._listener:
+                self._accept()
+            elif key.data is not None:
+                self._read(key.fileobj, key.data)
 
-    def _reader_loop(self, conn: socket.socket) -> None:
-        decoder = StreamDecoder()
+    def _accept(self) -> None:
         try:
-            while not self._stop.is_set():
-                data = conn.recv(65536)
-                if not data:
-                    break
-                try:
-                    envelopes = decoder.feed(data)
-                except Exception:
-                    break  # framing violation: drop the connection
-                for env in envelopes:
-                    if self._is_dump(env):
-                        self._queue.put(("dump", env, conn))
-                    else:
-                        self._queue.put(("env", env))
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            conn, _ = self._listener.accept()
+        except OSError:
+            return
+        if self._inbound >= self.max_connections:
+            conn.close()
+            return
+        conn.setblocking(False)
+        self._sel.register(conn, selectors.EVENT_READ, StreamDecoder())
+        self._inbound += 1
 
-    @staticmethod
-    def _is_dump(env: Envelope) -> bool:
-        return env.payload.startswith(b"'$dump'(")
+    def _read(self, conn: socket.socket, decoder: StreamDecoder) -> None:
+        try:
+            data = conn.recv(65536)
+            envelopes = decoder.feed(data) if data else None
+        except BlockingIOError:
+            return
+        except (OSError, FrameError):  # a broken connection or framing
+            envelopes = None
+        if envelopes is None:
+            self._sel.unregister(conn)
+            self._inbound -= 1
+            conn.close()
+            return
+        for env in envelopes:
+            self._inbox.append((env, conn if env.payload.startswith(b"'$dump'(") else None))
 
     # --- the node loop ---
 
     def run(self, duration: Optional[float] = None) -> None:
         """Dispatch envelopes and alarms until stop() (or duration seconds)."""
         deadline = None if duration is None else time.monotonic() + duration
-        while not self._stop.is_set():
-            timeout = 0.2
-            if deadline is not None:
-                timeout = min(timeout, max(0.0, deadline - time.monotonic()))
-            with self._alarm_lock:
+        self._running = True
+        try:
+            while not self._stop.is_set():
+                timeout = 0.0 if self._inbox else POLL_S
                 if self._alarms:
                     timeout = min(timeout, max(0.0, (self._alarms[0][0] - self.now()) / 1000.0))
-            self._fire_due_alarms()
-            try:
-                item = self._queue.get(timeout=timeout)
-            except queue.Empty:
-                item = None
-            if item is not None:
-                self._handle(item)
-            self._fire_due_alarms()
-            if deadline is not None and time.monotonic() >= deadline:
-                return
+                if deadline is not None:
+                    timeout = min(timeout, max(0.0, deadline - time.monotonic()))
+                self._poll(timeout)
+                self._fire_due_alarms()
+                # only what is queued now, so that sends to self cannot starve reads
+                for _ in range(len(self._inbox)):
+                    env, conn = self._inbox.popleft()
+                    if conn is None:
+                        self._node.dispatch(env)
+                    else:
+                        self._reply_dump(env, conn)
+                    self._fire_due_alarms()
+                if deadline is not None and time.monotonic() >= deadline:
+                    return
+        finally:
+            self._running = False
+            if self._stop.is_set():
+                self._close()
 
     def _fire_due_alarms(self) -> None:
-        while True:
-            with self._alarm_lock:
-                if not self._alarms or self._alarms[0][0] > self.now():
-                    return
-                _, _, env = heapq.heappop(self._alarms)
-            self._node.dispatch(env)
-
-    def _handle(self, item) -> None:
-        kind = item[0]
-        if kind == "env":
-            self._node.dispatch(item[1])
-        elif kind == "dump":
-            self._reply_dump(item[1], item[2])
+        while self._alarms and self._alarms[0][0] <= self.now():
+            self._node.dispatch(heapq.heappop(self._alarms)[2])
 
     def _reply_dump(self, env: Envelope, conn: socket.socket) -> None:
         if not self._node.config.debug_endpoint:
@@ -218,34 +221,30 @@ class TcpTransport:
         if not (isinstance(term, Struct) and term.name == DUMP_FUNCTOR
                 and len(term.args) == 2):
             return
-        name = deref(term.args[0])
-        arity = deref(term.args[1])
+        name, arity = deref(term.args[0]), deref(term.args[1])
         if not (isinstance(name, Atom) and isinstance(arity, Int)):
             return
-        listing = self._node.dump_facts(name.name, arity.value)
-        reply = Envelope(self.bind_address, listing.encode("utf-8"), None, "network")
+        listing = self._node.dump_facts(name.name, arity.value).encode("utf-8")
         try:
-            conn.sendall(encode_envelope(reply))
+            conn.settimeout(self.connect_timeout)  # the loop waits that long at most
+            conn.sendall(encode_envelope(Envelope(self.bind_address, listing)))
+            conn.setblocking(False)
         except OSError:
             pass
 
     def start(self) -> threading.Thread:
         t = threading.Thread(target=self.run, daemon=True)
         t.start()
-        self._threads.append(t)
         return t
 
     def stop(self) -> None:
         self._stop.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        self._queue.put(("wake",))
-        with self._conn_lock:
-            for sock, _ in self._conns.values():
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-            self._conns.clear()
+        if not self._running:
+            self._close()
+
+    def _close(self) -> None:
+        for key in list((self._sel.get_map() or {}).values()):
+            key.fileobj.close()
+        self._sel.close()
+        for peer in list(self._conns):
+            self._evict(peer)

@@ -4,7 +4,8 @@ Layout: 4-byte big-endian length of everything that follows, then 1 byte of
 flags (bit 0: signed), 2-byte big-endian sender length, sender UTF-8; if
 signed, 1 byte algorithm id, 2-byte big-endian MAC length, MAC bytes; the
 remaining bytes are the payload.  The simulator's fault injector mutates
-encoded frames, so decode errors here are a normal, counted event.
+encoded frames, so decode errors here are a normal, counted event.  A
+stream may not announce a frame longer than `MAX_FRAME_BYTES`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from typing import Optional, Tuple
 from .auth import Mac
 
 FLAG_SIGNED = 0x01
+MAX_FRAME_BYTES = 16 * 1024 * 1024  # largest length a stream may announce
+
+_LENGTH = struct.Struct(">I")
 
 
 class FrameError(Exception):
@@ -78,23 +82,33 @@ def decode_frame(data: bytes) -> Tuple[Envelope, int]:
 
 
 class StreamDecoder:
-    """Incremental decoder for a TCP byte stream."""
+    """Incremental decoder for a TCP byte stream.
+
+    Each `feed` appends to one buffer, decodes every complete frame by
+    advancing an offset and then drops the consumed prefix, so its cost is
+    linear in the bytes fed.  A length prefix over `MAX_FRAME_BYTES` raises
+    `FrameError` as soon as its four bytes arrive.
+    """
 
     def __init__(self):
-        self._buf = b""
+        self._buf = bytearray()
 
     def feed(self, data: bytes) -> list:
-        self._buf += data
+        buf = self._buf
+        buf += data
+        pos, end = 0, len(buf)
         out = []
-        while True:
-            if len(self._buf) < 4:
-                return out
-            total = struct.unpack(">I", self._buf[:4])[0]
-            if len(self._buf) < 4 + total:
-                return out
-            body = self._buf[4:4 + total]
-            self._buf = self._buf[4 + total:]
-            out.append(decode_body(body))
+        while end - pos >= 4:
+            total = _LENGTH.unpack_from(buf, pos)[0]
+            if total > MAX_FRAME_BYTES:
+                raise FrameError("frame of %d bytes exceeds the limit of %d"
+                                 % (total, MAX_FRAME_BYTES))
+            if end - pos - 4 < total:
+                break
+            out.append(decode_body(bytes(buf[pos + 4:pos + 4 + total])))
+            pos += 4 + total
+        del buf[:pos]
+        return out
 
     @property
     def pending(self) -> int:

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 
 from logicnode.reader import (
-    Program, ReaderError, deserialize, parse_program, parse_term, serialize,
-    term_text)
-from logicnode.terms import Atom, Int, Struct, Var, deref
+    MAX_DEPTH, MAX_INT_DIGITS, Program, ReaderError, deserialize, parse_program,
+    parse_term, serialize, term_text)
+from logicnode.terms import INT64_MAX, INT64_MIN, Atom, Int, Struct, Var, deref
 
 from term_gen import terms
 
@@ -151,3 +151,44 @@ def test_serialize_round_trip(t):
 def test_deserialize_rejects_bad_utf8():
     with pytest.raises(ReaderError):
         deserialize(b"\xff\xfe")
+
+
+def _nested(depth: int) -> str:
+    return "f(" * depth + "a" + ")" * depth
+
+
+@pytest.mark.parametrize("text", [
+    _nested(MAX_DEPTH),
+    "[" * MAX_DEPTH + "a" + "]" * MAX_DEPTH,
+    "(" * MAX_DEPTH + "a" + ")" * MAX_DEPTH,
+    "a" + ",a" * MAX_DEPTH,
+    "a" + "+a" * MAX_DEPTH,
+    "- " * MAX_DEPTH + "a",
+    "\\+ " * MAX_DEPTH + "a",
+], ids=["compound", "list", "parens", "xfy", "yfx", "prefix", "fy"])
+def test_nesting_past_the_cap_is_a_reader_error(text):
+    with pytest.raises(ReaderError, match="nested deeper"):
+        parse_term(text)
+
+
+def test_nesting_up_to_the_cap_round_trips():
+    t = parse_term(_nested(MAX_DEPTH - 1))
+    assert term_text(deserialize(serialize(t))) == _nested(MAX_DEPTH - 1)
+    chain = parse_term("a" + "+a" * (MAX_DEPTH - 2))
+    assert term_text(chain).count("+") == MAX_DEPTH - 2
+
+
+def test_a_clause_body_of_a_hundred_goals_parses():
+    body = ", ".join("g%d" % i for i in range(100))
+    prog = parse_program("h :- %s.\n" % body)
+    assert len(prog.clauses) == 1
+
+
+def test_integer_literals_within_int64():
+    assert parse_term(str(INT64_MAX)) == Int(INT64_MAX)
+    assert parse_term(str(INT64_MIN)) == Int(INT64_MIN)
+    assert len(str(INT64_MIN)) == MAX_INT_DIGITS + 1
+    with pytest.raises(ReaderError, match="longer than 19 digits"):
+        parse_term("1" + "0" * MAX_INT_DIGITS)
+    with pytest.raises(ReaderError, match="longer than 19 digits"):
+        deserialize(b"ping(c, " + b"9" * 5000 + b")")

@@ -1,11 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logicnode.auth import full_mesh_keystore
 from logicnode.engine import EngineError
-from logicnode.reader import parse_program, parse_term, serialize
+from logicnode.reader import MAX_DEPTH, parse_program, parse_term, serialize
 from logicnode.runtime import NodeConfig
 from logicnode.sim import SimNetwork
-from logicnode.wire import Envelope
+from logicnode.wire import Envelope, FrameError, StreamDecoder, encode_envelope
 
 
 ECHO_SRC = """
@@ -17,6 +19,15 @@ ping(X) :- assert(seen(X)).
 poke :- this_node(Me), send(Me, ping(self)).
 tick :- assert(ticked).
 """
+
+
+# payloads a peer can send that overflowed the interpreter before the
+# reader's caps: nesting, operator chains and long integer literals
+HOSTILE_PAYLOADS = {
+    "nested": b"ping(c, " + b"f(" * 2000 + b"a" + b")" * 2000 + b")",
+    "commas": b"ping(c, (a" + b",a" * 2000 + b"))",
+    "digits": b"ping(c, " + b"9" * 5000 + b")",
+}
 
 
 def make_net(src: str = ECHO_SRC, **cfg):
@@ -237,6 +248,59 @@ def test_bad_payload_counts_decode_error():
     net.inject(0, "n1", Envelope("x", b"\xff\xfe", None, "network"))
     net.run_to_idle()
     assert node.metrics.decode_errors == 1
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_PAYLOADS))
+def test_hostile_payload_is_a_decode_error(name):
+    net, node = make_net()
+    outcome, _, _ = node.dispatch(Envelope("x", HOSTILE_PAYLOADS[name]))
+    assert outcome == "decode_error"
+    assert node.metrics.decode_errors == 1
+
+
+_TERM_CHARS = "pingf(a),[]|+-*/\\ '0123456789_XY;:=<>.!"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64),
+       st.lists(st.tuples(st.sampled_from(["", "ping(", "ping(c, "]),
+                          st.text(alphabet=_TERM_CHARS, max_size=40)), max_size=4))
+def test_no_bytes_from_a_peer_escape_the_node(noise, texts):
+    net, node = make_net()
+    decoder = StreamDecoder()
+    envelopes = decoder.feed(b"".join(
+        encode_envelope(Envelope("x", (head + body).encode())) for head, body in texts))
+    try:
+        envelopes += decoder.feed(noise)
+    except FrameError:
+        pass
+    for env in envelopes:
+        assert node.dispatch(env)[0] != "error:internal"
+
+
+def test_term_nested_to_the_cap_is_handled():
+    src = """
+:- event keep/1.
+:- dynamic kept/1.
+keep(X) :- assert(kept(X)), this_node(Me), send(Me, X).
+"""
+    net, node = make_net(src)
+    deep = "f(" * (MAX_DEPTH - 2) + "a" + ")" * (MAX_DEPTH - 2)
+    outcome, _, sends = node.dispatch(Envelope("x", b"keep(%s)" % deep.encode()))
+    assert (outcome, sends) == ("success", 1)
+    assert node.dump_facts("kept", 1) == "kept(%s)" % deep
+
+
+def test_unexpected_exception_is_an_internal_error():
+    def explode(solver, args):
+        return 1 // 0
+
+    src = ":- event go/0, ok/0.\n:- dynamic fine/0.\ngo :- explode.\nok :- assert(fine).\n"
+    net, node = make_net(src, extra_builtins={("explode", 0): explode})
+    assert node.dispatch(Envelope("x", b"go")) == ("error:internal", "", 0)
+    assert node.metrics.internal_errors == 1
+    assert node.dispatch(Envelope("x", b"ok"))[0] == "success"
+    assert net.holds("n1", "fine")
 
 
 def test_dump_facts():

@@ -1,4 +1,5 @@
 import socket
+import threading
 import time
 
 import pytest
@@ -7,6 +8,8 @@ from logicnode.reader import parse_program, parse_term, serialize
 from logicnode.runtime import NodeConfig, start_node
 from logicnode.tcp import TcpTransport, split_hostport
 from logicnode.wire import Envelope, StreamDecoder, encode_envelope
+
+from test_runtime import HOSTILE_PAYLOADS
 
 COUNT_SRC = """
 :- event ping/1.
@@ -34,6 +37,17 @@ def server():
     transport.start()
     yield addr, node, transport
     transport.stop()
+
+
+def start_server(src: str = COUNT_SRC, **transport_args):
+    addr = fresh_addr()
+    transport = TcpTransport(addr, **transport_args)
+    node = start_node(NodeConfig(addr, parse_program(src)), transport)
+    return addr, node, transport, transport.start()
+
+
+def ping_frame(arg: str) -> bytes:
+    return encode_envelope(Envelope("tester", serialize(parse_term("ping(%s)" % arg))))
 
 
 def wait_for(pred, timeout=5.0):
@@ -164,3 +178,95 @@ def test_garbage_bytes_only_drop_that_connection(server):
     frame = encode_envelope(Envelope("tester", serialize(parse_term("ping(ok)"))))
     send_raw(addr, frame)
     assert wait_for(lambda: node.metrics.delivered == 1)
+
+
+FLOOD_SRC = """
+:- event go/1, blob/1.
+go(Peer) :- pad(X), sendall(Peer, n(_), blob(X)).
+blob(_).
+pad(%s).
+""" % ("x" * 2000) + "".join("n(%d).\n" % i for i in range(3000))
+
+
+def test_mutual_flood_delivers_everything():
+    # each handler sends about 6 MB to the other, more than both sockets
+    # buffer: a node must keep reading while its own send waits
+    (a, na, ta, _), (b, nb, tb, _) = start_server(FLOOD_SRC), start_server(FLOOD_SRC)
+    try:
+        send_raw(a, encode_envelope(Envelope("t", serialize(parse_term("go('%s')" % b)))))
+        send_raw(b, encode_envelope(Envelope("t", serialize(parse_term("go('%s')" % a)))))
+        assert wait_for(lambda: na.metrics.delivered == nb.metrics.delivered == 3001,
+                        timeout=60), (na.metrics, nb.metrics)
+        assert na.metrics.sends == nb.metrics.sends == 3000
+    finally:
+        ta.stop()
+        tb.stop()
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_PAYLOADS))
+def test_node_serves_pings_after_a_hostile_frame(server, name):
+    addr, node, _ = server
+    send_raw(addr, encode_envelope(Envelope("tester", HOSTILE_PAYLOADS[name])))
+    send_raw(addr, ping_frame("ok"))
+    assert wait_for(lambda: node.metrics.delivered == 1)
+    assert node.metrics.decode_errors == 1
+    req = encode_envelope(Envelope("tester", serialize(parse_term("'$dump'(seen, 1)"))))
+    assert send_raw(addr, req, read_reply=True) == b"seen(ok)"
+
+
+def test_one_thread_serves_every_connection():
+    before = set(threading.enumerate())
+    addr, node, transport, loop = start_server()
+    conns = [socket.create_connection(split_hostport(addr), timeout=5) for _ in range(20)]
+    try:
+        for i, c in enumerate(conns):
+            c.sendall(ping_frame(str(i)))
+        assert wait_for(lambda: node.metrics.delivered == 20)
+        assert set(threading.enumerate()) - before == {loop}
+    finally:
+        for c in conns:
+            c.close()
+        transport.stop()
+
+
+def test_stalled_connection_does_not_delay_others(server):
+    addr, node, _ = server
+    frame = ping_frame("late")
+    with socket.create_connection(split_hostport(addr), timeout=5) as stalled:
+        stalled.sendall(frame[:len(frame) // 2])
+        for i in range(10):
+            send_raw(addr, ping_frame(str(i)))
+        assert wait_for(lambda: node.metrics.delivered == 10, timeout=2.0)
+        stalled.sendall(frame[len(frame) // 2:])
+        assert wait_for(lambda: node.metrics.delivered == 11)
+
+
+def test_connections_past_the_limit_are_closed():
+    addr, node, transport, _ = start_server(max_connections=2)
+    first, second = (socket.create_connection(split_hostport(addr), timeout=5)
+                     for _ in range(2))
+    try:
+        first.sendall(ping_frame("1"))
+        second.sendall(ping_frame("2"))
+        assert wait_for(lambda: node.metrics.delivered == 2)
+        with socket.create_connection(split_hostport(addr), timeout=5) as third:
+            assert third.recv(1) == b""  # closed by the node
+        first.sendall(ping_frame("3"))
+        second.sendall(ping_frame("4"))
+        assert wait_for(lambda: node.metrics.delivered == 4)
+    finally:
+        first.close()
+        second.close()
+        transport.stop()
+
+
+def test_stop_closes_every_socket():
+    addr, node, transport, loop = start_server()
+    with socket.create_connection(split_hostport(addr), timeout=5) as c:
+        c.sendall(ping_frame("a"))
+        assert wait_for(lambda: node.metrics.delivered == 1)
+        transport.stop()
+        loop.join(timeout=5)
+        assert not loop.is_alive()
+        assert c.recv(1) == b""
+    TcpTransport(addr).stop()  # the address is free again

@@ -1,4 +1,5 @@
 import struct
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,8 @@ from hypothesis import strategies as st
 
 from logicnode.auth import ALG_HMAC_SHA256, Mac
 from logicnode.wire import (
-    Envelope, FrameError, StreamDecoder, decode_frame, encode_envelope)
+    MAX_FRAME_BYTES, Envelope, FrameError, StreamDecoder, decode_frame,
+    encode_envelope)
 
 
 def test_unsigned_frame_layout():
@@ -84,6 +86,43 @@ def test_stream_decoder_keeps_remainder():
     assert dec.feed(frame + frame[:5]) and dec.pending == 5
     got = dec.feed(frame[5:])
     assert len(got) == 1 and got[0].payload == b"x"
+
+
+def _frames(n: int) -> bytes:
+    return b"".join(encode_envelope(Envelope("t", b"ping(%d)" % i)) for i in range(n))
+
+
+def _best_feed_s(data: bytes) -> float:
+    best = float("inf")
+    for _ in range(3):
+        dec = StreamDecoder()
+        t0 = time.perf_counter()
+        dec.feed(data)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def test_stream_decoder_twenty_thousand_frames_in_one_feed():
+    dec = StreamDecoder()
+    got = dec.feed(_frames(20_000))
+    assert [e.payload for e in got] == [b"ping(%d)" % i for i in range(20_000)]
+    assert dec.pending == 0
+
+
+def test_stream_decoder_is_linear_in_the_frames_fed():
+    # 20x the frames: about 20x the time when linear; the quadratic
+    # decoder that re-copied its buffer per frame took over 100x
+    small, large = _best_feed_s(_frames(2_000)), _best_feed_s(_frames(40_000))
+    assert large < 60 * small, (small, large)
+
+
+def test_stream_decoder_rejects_an_oversized_length_at_once():
+    with pytest.raises(FrameError):
+        StreamDecoder().feed(struct.pack(">I", 2 ** 31))
+    dec = StreamDecoder()
+    assert dec.feed(struct.pack(">I", MAX_FRAME_BYTES) + b"\x00" * 100) == []
+    with pytest.raises(FrameError):
+        StreamDecoder().feed(struct.pack(">I", MAX_FRAME_BYTES + 1))
 
 
 @settings(max_examples=150, deadline=None)
