@@ -1,21 +1,20 @@
-"""Depth-first first-solution resolution over a dynamic clause database.
+"""Depth-first resolution over a dynamic clause database.
 
-The solver mutates variable cells and undoes bindings through a trail, so
-backtracking is cheap.  Cut is clause-local and implemented with a barrier
-id per predicate activation.  `Solver.solutions` opens the barrier of every
-goal whose solutions are collected or tested (a query, `findall`, `count`,
-`sendall`, the condition of a negation or of `->`), so a cut there ends only
-that goal's solutions.  Unknown predicates fail quietly: handler programs
+`Solver.solutions` runs a goal in one loop over a goal list of linked frames
+(goal, cut height, rest) and a stack of choicepoints, after Warren's abstract
+machine; bindings are undone through a trail.  A cut drops the choicepoints
+made since its clause was called.  A goal whose solutions are collected or
+tested (a query, `findall`, `count`, `sendall`, the condition of a negation
+or of `->`) runs in a nested `solutions`, so a cut there ends only that
+goal's solutions.  Only such nesting takes Python stack: `SolveLimits` bounds
+logic recursion.  Unknown predicates fail quietly: handler programs
 routinely query predicates before the first matching assert.
 
-Builtins come in two kinds.  Those that succeed at most once (the tests,
-arithmetic, `findall`, `count`, `assert`, and every builtin of a `Node` or of
-`NodeConfig.extra_builtins`) are plain functions `fn(solver, args) -> bool`;
-`prove` undoes the bindings one leaves when it returns false or when the
-search backtracks into it.  Only the control constructs (`!`, `,`, `;`, `->`)
-and the builtins that can succeed more than once (`member/2`, `retract/1`)
-are generators `fn(solver, args, depth)` that yield once per solution and
-undo their own bindings.
+Builtins that succeed at most once (the tests, arithmetic, `findall`,
+`count`, `assert`, and every builtin of a `Node` or of
+`NodeConfig.extra_builtins`) are plain functions `fn(solver, args) -> bool`.
+`member/2` and `retract/1` are generators `fn(solver, args)` that yield once
+per solution.
 
 Clauses are indexed on their first argument.  A first argument has a key
 when it is an atom, an integer, or a flat ground compound (one whose
@@ -30,7 +29,6 @@ those whose first argument has another functor, arity or constant.
 
 from __future__ import annotations
 
-import itertools
 import operator as _op
 from typing import Iterator, Optional, Sequence
 
@@ -48,17 +46,10 @@ class EngineError(Exception):
         self.message = message
 
 
-class _Cut(Exception):
-    __slots__ = ("depth",)
-
-    def __init__(self, depth: int):
-        self.depth = depth
-
-
 class SolveLimits:
     __slots__ = ("max_steps",)
 
-    def __init__(self, max_steps: int = 10_000_000):
+    def __init__(self, max_steps: int = 1_000_000):
         self.max_steps = max_steps
 
 
@@ -179,32 +170,41 @@ class Database:
         return out
 
 
-def _compile_skeleton(t: Term, slots: dict, names: list):
-    """Code tree: (0, const) | (1, slot) | (2, name, arg codes)."""
-    t = deref(t)
-    tt = type(t)
-    if tt is Var:
-        idx = slots.get(id(t))
-        if idx is None:
-            idx = len(names)
-            slots[id(t)] = idx
-            names.append(t.name)
-        return (1, idx)
-    if tt is Struct:
-        codes = tuple(_compile_skeleton(a, slots, names) for a in t.args)
-        if all(c[0] == 0 for c in codes):
-            return (0, t)
-        return (2, t.name, codes)
-    return (0, t)
+def _compile(terms) -> tuple:
+    """Postfix code that builds `terms`, and the names of their variables.
 
-
-def _build_skeleton(code, fresh):
-    tag = code[0]
-    if tag == 0:
-        return code[1]
-    if tag == 1:
-        return fresh[code[1]]
-    return Struct(code[1], tuple(_build_skeleton(c, fresh) for c in code[2]))
+    Each instruction is (0, term): push a ground subterm, shared between
+    instances; (1, slot): push the slot's fresh variable; or (2, name, n):
+    pop n arguments and push the compound.
+    """
+    code: list = []
+    slots: dict = {}
+    names: list = []
+    todo = [(t, False) for t in reversed(terms)]
+    while todo:
+        t, args_done = todo.pop()
+        if args_done:
+            n = len(t.args)
+            # a non-ground argument's code ends in a (1, ...) or a (2, ...)
+            if all(c[0] == 0 for c in code[-n:]):
+                del code[-n:]
+                code.append((0, t))
+            else:
+                code.append((2, t.name, n))
+            continue
+        t = deref(t)
+        if type(t) is Var:
+            slot = slots.get(id(t))
+            if slot is None:
+                slot = slots[id(t)] = len(names)
+                names.append(t.name)
+            code.append((1, slot))
+        elif type(t) is Struct:
+            todo.append((t, True))
+            todo.extend((a, False) for a in reversed(t.args))
+        else:
+            code.append((0, t))
+    return code, names
 
 
 def _rename(clause: Clause):
@@ -215,16 +215,24 @@ def _rename(clause: Clause):
     """
     code = getattr(clause, "code", None)
     if code is None:
-        slots: dict = {}
-        names: list = []
-        hc = _compile_skeleton(clause.head, slots, names)
-        bc = _compile_skeleton(clause.body, slots, names)
-        code = clause.code = (hc, bc, names)
-    hc, bc, names = code
+        code = clause.code = _compile((clause.head, clause.body))
+    ops, names = code
     if not names:
         return clause.head, clause.body
     fresh = [Var(n) for n in names]
-    return _build_skeleton(hc, fresh), _build_skeleton(bc, fresh)
+    stack: list = []
+    for op in ops:
+        tag = op[0]
+        if tag == 0:
+            stack.append(op[1])
+        elif tag == 1:
+            stack.append(fresh[op[1]])
+        else:
+            n = op[2]
+            args = tuple(stack[-n:])
+            del stack[-n:]
+            stack.append(Struct(op[1], args))
+    return stack[0], stack[1]
 
 
 def _first_arg_key(t: Term):
@@ -271,7 +279,18 @@ def _first_arg_shape(t: Term):
     return None
 
 
+def _next_fit(candidates: list, i: int, shape) -> int:
+    """Index of the next of `candidates[i:]` that a call whose first argument
+    has `shape` must try, else their number."""
+    while shape is not None and i < len(candidates):
+        if _first_arg_shape(candidates[i].head.args[0]) in (None, shape):
+            return i
+        i += 1
+    return i
+
+
 _UNBUILT = object()
+_FAIL = object()  # stands in for a goal list: no solution, backtrack
 
 
 class Solver:
@@ -286,7 +305,6 @@ class Solver:
         self.host = host
         self.trail: list = []
         self.steps = 0
-        self._barrier = itertools.count(1)
 
     # --- bindings ---
 
@@ -332,73 +350,104 @@ class Solver:
 
     # --- resolution ---
 
-    def prove(self, goal: Term, depth: int) -> Iterator[None]:
-        self.steps += 1
-        if self.steps > self.limits.max_steps:
-            raise EngineError("step_limit", "resolution step budget exhausted")
-        goal = deref(goal)
-        if isinstance(goal, Var):
-            raise EngineError("type", "unbound goal")
-        if isinstance(goal, Int):
-            raise EngineError("type", "integer is not callable")
-        if isinstance(goal, Atom):
-            key = (goal.name, 0)
-            args: tuple = ()
-        else:
-            key = (goal.name, len(goal.args))
-            args = goal.args
-        control = _CONTROL.get(key)
-        if control is not None:
-            yield from control(self, args, depth)
-            return
+    def solutions(self, goal: Term) -> Iterator[None]:
+        """Yield once per solution of `goal`, its bindings in place.
+
+        The choicepoint stack is this call's own: a cut in `goal` ends its
+        solutions, not those of the caller.  When the solutions run out, by
+        failure or by a cut, every binding they made is undone.
+        """
+        base = self.mark()
+        # choicepoints: (trail mark, alternatives, goal list).  A predicate
+        # call's alternatives are the arguments of `_try_clauses` that resume
+        # it; others are an iterator that yields once per way on to the goal
+        # list (a generator builtin, or one None for a disjunction)
+        cps: list = []
+        goals = (goal, 0, None)  # goal list: (goal, cut height, rest)
+        while True:
+            if goals is None:  # every goal is proved
+                yield
+                goals = _FAIL
+            if goals is _FAIL:  # resume the newest choicepoint
+                if not cps:
+                    self.undo(base)
+                    return
+                mark, alts, rest = cps.pop()
+                self.undo(mark)
+                if type(alts) is tuple:
+                    goals = self._try_clauses(*alts, rest, cps)
+                elif next(alts, _FAIL) is _FAIL:
+                    goals = _FAIL
+                else:
+                    cps.append((mark, alts, rest))
+                    goals = rest
+                continue
+            goal, height, rest = goals
+            self.steps += 1
+            if self.steps > self.limits.max_steps:
+                raise EngineError("step_limit", "resolution step budget exhausted")
+            goal = deref(goal)
+            if isinstance(goal, Struct):
+                name = goal.name
+                args = goal.args
+            elif isinstance(goal, Atom):
+                name = goal.name
+                args = ()
+            else:
+                raise EngineError("type", "unbound goal" if isinstance(goal, Var)
+                                  else "integer is not callable")
+            arity = len(args)
+            if arity == 2 and name == ",":
+                goals = (args[0], height, (args[1], height, rest))
+            elif arity == 0 and name == "!":
+                del cps[height:]
+                goals = rest
+            elif arity == 2 and name == ";":
+                left = deref(args[0])
+                if (isinstance(left, Struct) and left.name == "->"
+                        and len(left.args) == 2):
+                    branch = left.args[1] if self.first(left.args[0]) else args[1]
+                    goals = (branch, height, rest)
+                else:
+                    cps.append((self.mark(), iter((None,)), (args[1], height, rest)))
+                    goals = (left, height, rest)
+            elif arity == 2 and name == "->":
+                goals = (args[1], height, rest) if self.first(args[0]) else _FAIL
+            else:
+                goals = self._call(goal, (name, arity), args, rest, cps)
+
+    def _call(self, goal: Term, key, args: tuple, rest, cps: list):
+        """The goal list after calling a builtin or a predicate, or _FAIL."""
         builtin = _BUILTINS.get(key)
         if builtin is None and self.host is not None:
             builtin = self.host.lookup(*key)
         if builtin is not None:
-            m = self.mark()
-            if builtin(self, args):
-                yield
-            self.undo(m)
-            return
-        clauses = self.db.clauses_for(key, args[0] if args else None)
-        if clauses is None:
-            return
-        barrier = next(self._barrier)
-        gkey = _first_arg_shape(args[0]) if args else None
-        for clause in list(clauses):
-            if gkey is not None:
-                head0 = clause.head
-                if isinstance(head0, Struct):
-                    ckey = _first_arg_shape(head0.args[0])
-                    if ckey is not None and ckey != gkey:
-                        continue
-            m = self.mark()
-            head, body = _rename(clause)
+            return rest if builtin(self, args) else _FAIL
+        builtin = _GENERATORS.get(key)
+        if builtin is not None:  # backtracking takes its first solution
+            cps.append((self.mark(), builtin(self, args), rest))
+            return _FAIL
+        clauses = self.db.clauses_for(key, args[0] if args else None) or ()
+        shape = _first_arg_shape(args[0]) if args else None
+        return self._try_clauses(goal, shape, list(clauses), 0, rest, cps)
+
+    def _try_clauses(self, goal: Term, shape, candidates: list, i: int, rest,
+                     cps: list):
+        """The goal list that starts with the body of the first of
+        `candidates[i:]` whose renamed head unifies with `goal`, or _FAIL.
+        A choicepoint keeps the clauses after it that `shape` lets through."""
+        height = len(cps)
+        i = _next_fit(candidates, i, shape)
+        while i < len(candidates):
+            mark = self.mark()
+            head, body = _rename(candidates[i])
+            i = _next_fit(candidates, i + 1, shape)
             if self.unify(goal, head):
-                try:
-                    yield from self.prove(body, barrier)
-                except _Cut as cut:
-                    if cut.depth == barrier:
-                        self.undo(m)
-                        return
-                    raise
-            self.undo(m)
-
-    def solutions(self, goal: Term) -> Iterator[None]:
-        """Yield once per solution of `goal`, its bindings in place.
-
-        The goal runs under a cut barrier of its own: a cut in it ends its
-        solutions, not those of the caller.  When the solutions run out,
-        by failure or by a cut, every binding they made is undone.
-        """
-        barrier = next(self._barrier)
-        m = self.mark()
-        try:
-            yield from self.prove(goal, barrier)
-        except _Cut as cut:
-            if cut.depth != barrier:
-                raise
-            self.undo(m)
+                if i < len(candidates):
+                    cps.append((mark, (goal, shape, candidates, i), rest))
+                return (body, height, rest)
+            self.undo(mark)
+        return _FAIL
 
     def first(self, goal: Term) -> bool:
         """One committed solution; bindings are kept on success."""
@@ -545,42 +594,11 @@ def _bi_assert(s, args):
     return True
 
 
-# --- control constructs and builtins with several solutions:
-# generators fn(solver, args, depth) ---
+# --- builtins with several solutions: generators fn(solver, args) that
+# yield once per solution, resumed from a choicepoint ---
 
 
-def _bi_cut(s, args, depth):
-    yield
-    raise _Cut(depth)
-
-
-def _bi_and(s, args, depth):
-    for _ in s.prove(args[0], depth):
-        yield from s.prove(args[1], depth)
-
-
-def _bi_or(s, args, depth):
-    left = deref(args[0])
-    if isinstance(left, Struct) and left.name == "->" and len(left.args) == 2:
-        m = s.mark()
-        if s.first(left.args[0]):
-            yield from s.prove(left.args[1], depth)
-            s.undo(m)
-        else:
-            yield from s.prove(args[1], depth)
-        return
-    yield from s.prove(args[0], depth)
-    yield from s.prove(args[1], depth)
-
-
-def _bi_if_then(s, args, depth):
-    m = s.mark()
-    if s.first(args[0]):
-        yield from s.prove(args[1], depth)
-    s.undo(m)
-
-
-def _bi_member(s, args, depth):
+def _bi_member(s, args):
     item = args[0]
     t = deref(args[1])
     while isinstance(t, Struct) and t.name == "." and len(t.args) == 2:
@@ -591,7 +609,7 @@ def _bi_member(s, args, depth):
         t = deref(t.args[1])
 
 
-def _bi_retract(s, args, depth):
+def _bi_retract(s, args):
     template = _split_clause(args[0])
     ind = indicator(template.head)
     first = template.head.args[0] if isinstance(template.head, Struct) else None
@@ -631,11 +649,7 @@ _BUILTINS = {
     ("assert", 1): _bi_assert,
 }
 
-_CONTROL = {
-    ("!", 0): _bi_cut,
-    (",", 2): _bi_and,
-    (";", 2): _bi_or,
-    ("->", 2): _bi_if_then,
+_GENERATORS = {
     ("member", 2): _bi_member,
     ("retract", 1): _bi_retract,
 }

@@ -164,18 +164,19 @@ class TcpTransport:
     def _read(self, conn: socket.socket, decoder: StreamDecoder) -> None:
         try:
             data = conn.recv(65536)
-            envelopes = decoder.feed(data) if data else None
+            envelopes = decoder.feed(data)
         except BlockingIOError:
             return
-        except (OSError, FrameError):  # a broken connection or framing
-            envelopes = None
-        if envelopes is None:
+        except OSError:  # a broken connection
+            data, envelopes = b"", []
+        except FrameError as e:  # bad framing: keep the frames before it
+            data, envelopes = b"", e.frames
+        for env in envelopes:
+            self._inbox.append((env, conn if env.payload.startswith(b"'$dump'(") else None))
+        if not data:  # closed by the peer, broken or badly framed
             self._sel.unregister(conn)
             self._inbound -= 1
             conn.close()
-            return
-        for env in envelopes:
-            self._inbox.append((env, conn if env.payload.startswith(b"'$dump'(") else None))
 
     # --- the node loop ---
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .auth import Mac
 
@@ -23,7 +23,9 @@ _LENGTH = struct.Struct(">I")
 
 
 class FrameError(Exception):
-    pass
+    """A malformed frame.  When `StreamDecoder.feed` raises it, `frames`
+    holds the envelopes that call decoded before the bad frame."""
+    frames: Sequence[Envelope] = ()
 
 
 @dataclass
@@ -87,7 +89,8 @@ class StreamDecoder:
     Each `feed` appends to one buffer, decodes every complete frame by
     advancing an offset and then drops the consumed prefix, so its cost is
     linear in the bytes fed.  A length prefix over `MAX_FRAME_BYTES` raises
-    `FrameError` as soon as its four bytes arrive.
+    `FrameError` as soon as its four bytes arrive.  The frames a `feed`
+    decoded before a bad one are not lost: they ride on the error.
     """
 
     def __init__(self):
@@ -97,16 +100,20 @@ class StreamDecoder:
         buf = self._buf
         buf += data
         pos, end = 0, len(buf)
-        out = []
-        while end - pos >= 4:
-            total = _LENGTH.unpack_from(buf, pos)[0]
-            if total > MAX_FRAME_BYTES:
-                raise FrameError("frame of %d bytes exceeds the limit of %d"
-                                 % (total, MAX_FRAME_BYTES))
-            if end - pos - 4 < total:
-                break
-            out.append(decode_body(bytes(buf[pos + 4:pos + 4 + total])))
-            pos += 4 + total
+        out: list = []
+        try:
+            while end - pos >= 4:
+                total = _LENGTH.unpack_from(buf, pos)[0]
+                if total > MAX_FRAME_BYTES:
+                    raise FrameError("frame of %d bytes exceeds the limit of %d"
+                                     % (total, MAX_FRAME_BYTES))
+                if end - pos - 4 < total:
+                    break
+                out.append(decode_body(bytes(buf[pos + 4:pos + 4 + total])))
+                pos += 4 + total
+        except FrameError as e:
+            e.frames = out
+            raise
         del buf[:pos]
         return out
 

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from logicnode.engine import Database, EngineError, SolveLimits, Solver, _first_arg_key
 from logicnode.reader import Clause, parse_program, parse_term, term_text
-from logicnode.terms import Atom, copy_term, list_parts
+from logicnode.terms import Atom, Int, Struct, Var, copy_term, list_parts, mklist
 
 
 def unify_terms(a, b):
@@ -83,6 +83,34 @@ CUT_LOCALITY = [
 def test_cut_stays_local_to_an_all_solutions_goal(src, goal, expected):
     got = all_answers(src, goal)
     assert [{k: term_text(a[k]) for k in expected[0]} for a in got] == expected
+
+
+# Control constructs: a bare `->`, a cut in a then-branch, an else-branch
+# and a plain disjunct (each commits the enclosing clause), and the order in
+# which a conjunction of two generators backtracks.
+CONTROL = [
+    ("", "(true -> X = a)", [{"X": "a"}]),
+    ("", "(fail -> X = a)", []),
+    ("", "(member(X, [1, 2]) -> Y = X)", [{"X": "1", "Y": "1"}]),
+    ("t(X, R) :- ( X > 0 -> !, R = pos ; R = neg ).\nt(_, other).\n",
+     "t(1, R)", [{"R": "pos"}]),
+    ("t(X, R) :- ( X > 0 -> R = pos ; !, R = neg ).\nt(_, other).\n",
+     "t(-1, R)", [{"R": "neg"}]),
+    ("t(X, R) :- ( X > 0 -> R = pos ; !, R = neg ).\nt(_, other).\n",
+     "t(1, R)", [{"R": "pos"}, {"R": "other"}]),
+    ("d(R) :- ( R = a, ! ; R = b ).\nd(c).\n", "d(R)", [{"R": "a"}]),
+    ("d(R) :- ( R = a ; !, R = b ).\nd(c).\n", "d(R)", [{"R": "a"}, {"R": "b"}]),
+    ("", "member(X, [a, b]), member(Y, [c, d])",
+     [{"X": "a", "Y": "c"}, {"X": "a", "Y": "d"},
+      {"X": "b", "Y": "c"}, {"X": "b", "Y": "d"}]),
+]
+
+
+@pytest.mark.parametrize("src, goal, expected", CONTROL)
+def test_control_constructs(src, goal, expected):
+    got = all_answers(src, goal)
+    keys = expected[0] if expected else {}
+    assert [{k: term_text(a[k]) for k in keys} for a in got] == expected
 
 
 def test_if_then_else():
@@ -234,6 +262,40 @@ def test_deep_recursion_reports_step_limit():
     with pytest.raises(EngineError) as e:
         s.solve_first(parse_term("loop"))
     assert e.value.kind == "step_limit"
+
+
+RECURSION = """count_to(N, N).
+count_to(I, N) :- I < N, J is I + 1, count_to(J, N).
+len([], 0).
+len([_|T], N) :- len(T, M), N is M + 1.
+"""
+
+
+@pytest.mark.parametrize("n", [200, 100_000])
+def test_deep_recursion_within_default_limits(n):
+    db = Database()
+    db.load_program(parse_program(RECURSION))
+    assert Solver(db).solve_first(parse_term("count_to(0, %d)" % n)) is not None
+
+
+def test_non_tail_recursion_over_a_long_list():
+    db = Database()
+    db.load_program(parse_program(RECURSION))
+    items = mklist([Int(i) for i in range(100_000)])
+    got = Solver(db).solve_first(Struct("len", (items, Var("N"))))
+    assert got["N"].value == 100_000
+
+
+@pytest.mark.parametrize("n", [600, 100_000])
+def test_call_a_stored_clause_holding_a_long_list(n):
+    # the open tail makes every renamed instance rebuild the whole list
+    s = Solver(Database())
+    items = mklist([Int(i) for i in range(n)], Var("T"))
+    assert s.solve_first(Struct("assert", (Struct("big", (Int(n), items)),))) is not None
+    got = s.solve_first(parse_term("big(N, L)"))
+    values, tail = list_parts(got["L"])
+    assert got["N"].value == n and isinstance(tail, Var)
+    assert [v.value for v in values] == list(range(n))
 
 
 def test_unify_terms_helper():

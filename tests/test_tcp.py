@@ -173,10 +173,16 @@ def test_double_bind_fails(server):
 
 def test_garbage_bytes_only_drop_that_connection(server):
     addr, node, _ = server
-    # huge length prefix forces the decoder to wait forever; closing is fine
+    # a length prefix over the frame cap drops the connection at once
     send_raw(addr, b"\xff\xff\xff\xff garbage")
     frame = encode_envelope(Envelope("tester", serialize(parse_term("ping(ok)"))))
     send_raw(addr, frame)
+    assert wait_for(lambda: node.metrics.delivered == 1)
+
+
+def test_frame_before_a_bad_one_in_the_same_write_is_delivered(server):
+    addr, node, _ = server
+    send_raw(addr, ping_frame("ok") + b"\xff\xff\xff\xff")
     assert wait_for(lambda: node.metrics.delivered == 1)
 
 

@@ -125,6 +125,26 @@ def test_stream_decoder_rejects_an_oversized_length_at_once():
         StreamDecoder().feed(struct.pack(">I", MAX_FRAME_BYTES + 1))
 
 
+TRUNCATED_SENDER = struct.pack(">IBH", 5, 0, 100) + b"ab"  # 100-byte sender, 2 sent
+
+
+@pytest.mark.parametrize("bad", [b"\xff\xff\xff\xff", TRUNCATED_SENDER],
+                         ids=["oversized", "truncated_sender"])
+def test_frames_before_a_bad_one_are_kept_at_every_split(bad):
+    data = encode_envelope(Envelope("a", b"ping(ok)")) + bad
+    for cut in range(len(data) + 1):
+        dec = StreamDecoder()
+        got = []
+        with pytest.raises(FrameError):
+            for part in (data[:cut], data[cut:]):
+                try:
+                    got += dec.feed(part)
+                except FrameError as e:
+                    got += e.frames
+                    raise
+        assert [e.payload for e in got] == [b"ping(ok)"], cut
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.text(max_size=16), st.binary(max_size=64),
        st.none() | st.binary(min_size=1, max_size=40))
