@@ -1,0 +1,55 @@
+#!/usr/bin/env python3
+"""One sha256 per simulator run, over the run's trace lines.
+
+Runs a 16-node ring with 200 lookups (seed 3), the replicas at batch sizes
+1 and 4 (40 requests each) and a spanning tree over a 60-node random graph.
+The simulator is deterministic, so two trees of the code that should behave
+the same print the same digests:
+
+    PYTHONPATH=src python3 scripts/trace_digest.py
+"""
+
+import hashlib
+import random
+
+from logicnode.protocols.chord import ChordSim
+from logicnode.protocols.spanning_tree import random_connected_graph, run_spanning_tree
+from logicnode.protocols.zyzzyva import ZyzzyvaSim
+
+
+def chord_ring():
+    sim = ChordSim(seed=3)
+    sim.build(16)
+    sim.quiesce()
+    sim.run_lookup_batch(200)
+    return sim.net
+
+
+def replication(batch_size):
+    sim = ZyzzyvaSim(batch_size=batch_size)
+    sim.run_requests(40)
+    return sim.net
+
+
+def spanning_tree():
+    return run_spanning_tree(random_connected_graph(60, random.Random(5)), "v0")
+
+
+RUNS = (
+    ("chord_16_seed3_200_lookups", chord_ring),
+    ("zyzzyva_batch1_40_requests", lambda: replication(1)),
+    ("zyzzyva_batch4_40_requests", lambda: replication(4)),
+    ("spanning_tree_60_seed5", spanning_tree),
+)
+
+
+def main() -> None:
+    for name, run in RUNS:
+        lines = run().trace_lines()
+        text = "".join(line + "\n" for line in lines)
+        print("%s %s events=%d" % (name, hashlib.sha256(text.encode("utf-8")).hexdigest(),
+                                   len(lines)))
+
+
+if __name__ == "__main__":
+    main()

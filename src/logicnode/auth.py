@@ -2,8 +2,8 @@
 
 Keys are shared per unordered node pair and loaded from a static key file
 (`nodeA nodeB hex-key` per line).  MACs cover sender bytes followed by
-payload bytes.  Algorithm 1 is HMAC-SHA256 (the default); algorithm 2 is
-HMAC-MD5, kept for compatibility tests only.
+payload bytes with HMAC-SHA256, algorithm id 1 on the wire; a MAC that
+names any other algorithm does not verify.
 """
 
 from __future__ import annotations
@@ -14,12 +14,6 @@ import os
 from typing import Optional
 
 ALG_HMAC_SHA256 = 1
-ALG_HMAC_MD5 = 2
-
-_ALG_HASH = {
-    ALG_HMAC_SHA256: "sha256",
-    ALG_HMAC_MD5: "md5",
-}
 
 class AuthError(Exception):
     pass
@@ -39,10 +33,7 @@ class Mac:
 class KeyStore:
     """Immutable after loading; counters expose how often crypto ran."""
 
-    def __init__(self, algorithm: int = ALG_HMAC_SHA256):
-        if algorithm not in _ALG_HASH:
-            raise AuthError("unknown algorithm id %d" % algorithm)
-        self.algorithm = algorithm
+    def __init__(self):
         self._keys: dict = {}
         self.sign_calls = 0
         self.verify_calls = 0
@@ -62,26 +53,20 @@ class KeyStore:
         if key is None:
             raise AuthError("no key for pair (%s, %s)" % (sender, receiver))
         self.sign_calls += 1
-        mac = hmac.new(key, sender_bytes + payload,
-                       _ALG_HASH[self.algorithm]).digest()
-        return Mac(self.algorithm, mac)
+        mac = hmac.new(key, sender_bytes + payload, "sha256").digest()
+        return Mac(ALG_HMAC_SHA256, mac)
 
     def verify(self, claimed_sender: str, receiver: str, sender_bytes: bytes,
                payload: bytes, mac: Mac) -> bool:
         self.verify_calls += 1
         key = self.key_for(claimed_sender, receiver)
-        if key is None:
+        if key is None or mac.algorithm != ALG_HMAC_SHA256:
             return False
-        alg = _ALG_HASH.get(mac.algorithm)
-        if alg is None:
-            return False
-        expect = hmac.new(key, sender_bytes + payload, alg).digest()
+        expect = hmac.new(key, sender_bytes + payload, "sha256").digest()
         return hmac.compare_digest(expect, mac.data)
 
 
-def digest(payload: bytes, algorithm: int = ALG_HMAC_SHA256) -> bytes:
-    if algorithm == ALG_HMAC_MD5:
-        return hashlib.md5(payload).digest()
+def digest(payload: bytes) -> bytes:
     return hashlib.sha256(payload).digest()
 
 
@@ -89,8 +74,8 @@ def digest_int(payload: bytes, bits: int = 63) -> int:
     return int.from_bytes(digest(payload), "big") % (1 << bits)
 
 
-def load_key_file(path: str, algorithm: int = ALG_HMAC_SHA256) -> KeyStore:
-    ks = KeyStore(algorithm)
+def load_key_file(path: str) -> KeyStore:
+    ks = KeyStore()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -107,10 +92,9 @@ def load_key_file(path: str, algorithm: int = ALG_HMAC_SHA256) -> KeyStore:
     return ks
 
 
-def full_mesh_keystore(addresses, seed: Optional[bytes] = None,
-                       algorithm: int = ALG_HMAC_SHA256) -> KeyStore:
+def full_mesh_keystore(addresses, seed: Optional[bytes] = None) -> KeyStore:
     """Deterministic pairwise keys for every address pair (test scaffolding)."""
-    ks = KeyStore(algorithm)
+    ks = KeyStore()
     addrs = sorted(addresses)
     base = seed if seed is not None else os.urandom(16)
     for i, a in enumerate(addrs):

@@ -16,7 +16,7 @@ from pathlib import Path
 from .auth import load_key_file, AuthError
 from .protocols import asset_path
 from .reader import ReaderError, parse_program, parse_term, serialize
-from .runtime import LinkError, NodeConfig, start_node
+from .runtime import POLICIES, LinkError, NodeConfig, start_node
 from .scenario import ScenarioError, load_scenario
 from .tcp import TcpTransport, split_hostport
 from .terms import Atom, Int, Struct
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--bind", required=True, help="host:port to listen on")
     r.add_argument("--facts", help="facts file")
     r.add_argument("--keys", help="pairwise key file")
-    r.add_argument("--policy", default="fail", choices=["fail", "throw", "ignore"])
+    r.add_argument("--policy", default="fail", choices=POLICIES)
     r.add_argument("--no-debug", action="store_true",
                    help="disable the facts dump endpoint")
     r.set_defaults(fn=cmd_run)

@@ -16,15 +16,18 @@ Builtins that succeed at most once (the tests, arithmetic, `findall`,
 `member/2` and `retract/1` are generators `fn(solver, args)` that yield once
 per solution.
 
-Clauses are indexed on their first argument.  A first argument has a key
-when it is an atom, an integer, or a flat ground compound (one whose
-arguments are all atoms or integers, such as `5-1`); two keys are equal
-exactly when the terms are `==`.  A predicate is indexed only while every
-one of its clauses has a key.  Its index is built on the first call whose
-goal has a keyed first argument, and from then on `assert`, consult-time
-loading and `retract` keep it current.  Such a call tries only the clauses
-under its key; any other call tries every clause of the predicate, skipping
-those whose first argument has another functor, arity or constant.
+Clauses are indexed on their first argument, after Warren's first-argument
+switch.  A first argument has a key when it is an atom, an integer, or a
+flat ground compound (one whose arguments are all atoms or integers, such
+as `5-1`); two keys are equal exactly when the terms are `==`.  Each
+predicate's index maps a key to the clauses a call with that key must try,
+in database order: the clauses with that key and every clause without one.
+A call whose first argument is a compound without a key (a list cell,
+`finger(I)`) reads its functor's list instead: the clauses whose key has
+that name and arity, and every clause without a key.  A call with an
+unbound first argument tries the whole predicate.  The index is built on
+the first call with a bound first argument, and from then on `assert`,
+consult-time loading and `retract` keep it current.
 """
 
 from __future__ import annotations
@@ -58,8 +61,10 @@ class Database:
 
     def __init__(self):
         self.preds: dict = {}        # (name, arity) -> list[Clause]
-        # (name, arity) -> {first-argument key: list[Clause]}, or None while
-        # some clause of the predicate has no key; absent until first used
+        # (name, arity) -> {call key: list[Clause]}, absent until first used.
+        # Call keys: a first-argument key; (arity, name) for a functor's
+        # list, which no key equals, as a compound's key starts with its
+        # name; None for the clauses without a key, in every list
         self._index: dict = {}
         self.dynamic: set = set()
         self.events: set = set()
@@ -93,38 +98,30 @@ class Database:
         clauses = self.preds.get(ind)
         if clauses is None or first is None:
             return clauses
-        index = self._index.get(ind, _UNBUILT)
+        first = deref(first)
+        if type(first) is Var:
+            return clauses
+        index = self._index.get(ind)
         if index is None:
-            return clauses
+            index = self._index[ind] = {None: []}
+            for c in clauses:
+                self._index_add(ind, c)
         key = _first_arg_key(first)
-        if key is None:
-            return clauses
-        if index is _UNBUILT:
-            index = self._build_index(ind, clauses)
-            if index is None:
-                return clauses
-        return index.get(key, ())
-
-    def _build_index(self, ind, clauses: list) -> Optional[dict]:
-        index: Optional[dict] = {}
-        for c in clauses:
-            key = _clause_key(c)
-            if key is None:
-                index = None
-                break
-            index.setdefault(key, []).append(c)
-        self._index[ind] = index
-        return index
+        if key is None:  # a compound with an unbound or compound argument
+            key = (len(first.args), first.name)
+            if key not in index:
+                index[key] = [c for c in clauses if _in_functor_list(c, key)]
+        return index.get(key, index[None])
 
     def _index_add(self, ind, clause: Clause) -> None:
         index = self._index.get(ind)
-        if index is None:  # not built, or not indexable
+        if index is None:  # not built yet
             return
         key = _clause_key(clause)
-        if key is None:
-            self._index[ind] = None
-        else:
-            index.setdefault(key, []).append(clause)
+        if key is not None and key not in index:
+            index[key] = list(index[None])  # the clauses without a key, all older
+        for bucket in _lists_holding(index, key):
+            bucket.append(clause)
 
     def is_dynamic(self, ind) -> bool:
         return ind in self.dynamic
@@ -147,18 +144,14 @@ class Database:
     def retract(self, ind, clause: Clause) -> None:
         """Remove one stored clause of `ind` from the list and its index."""
         self.preds[ind].remove(clause)
-        if ind not in self._index:
-            return
-        index = self._index[ind]
-        key = _clause_key(clause)
+        index = self._index.get(ind)
         if index is None:
-            if key is None:  # the predicate may be indexable again
-                del self._index[ind]
             return
-        bucket = index[key]
-        bucket.remove(clause)
-        if not bucket:
-            del index[key]
+        key = _clause_key(clause)
+        for bucket in _lists_holding(index, key):
+            bucket.remove(clause)
+        if key is not None and len(index[key]) == len(index[None]):
+            del index[key]  # no clause with this key is left
 
     def facts(self, name: str, arity: int) -> list:
         """Ground snapshot of the facts stored under name/arity."""
@@ -266,43 +259,36 @@ def _clause_key(clause: Clause):
     return _first_arg_key(deref(clause.head).args[0])
 
 
-def _first_arg_shape(t: Term):
-    """Functor and arity of a compound first argument, the key of an atom or
-    integer, else None: the filter of calls that the index does not serve."""
-    t = deref(t)
-    if isinstance(t, Atom):
-        return ("a", t.name)
-    if isinstance(t, Int):
-        return ("i", t.value)
-    if isinstance(t, Struct):
-        return ("s", t.name, len(t.args))
-    return None
+def _in_functor_list(clause: Clause, functor: tuple) -> bool:
+    """Whether a call whose first argument is a compound without a key, of
+    `functor` (arity, name), must try `clause`."""
+    key = _clause_key(clause)
+    return key is None or (type(key) is tuple and len(key) == functor[0] + 1
+                           and key[0] == functor[1])
 
 
-def _next_fit(candidates: list, i: int, shape) -> int:
-    """Index of the next of `candidates[i:]` that a call whose first argument
-    has `shape` must try, else their number."""
-    while shape is not None and i < len(candidates):
-        if _first_arg_shape(candidates[i].head.args[0]) in (None, shape):
-            return i
-        i += 1
-    return i
+def _lists_holding(index: dict, key) -> list:
+    """The lists of `index` that hold a clause whose first argument has
+    `key`: every list if it has none."""
+    if key is None:
+        return list(index.values())
+    functor = index.get((len(key) - 1, key[0])) if type(key) is tuple else None
+    return [index[key]] if functor is None else [index[key], functor]
 
 
-_UNBUILT = object()
 _FAIL = object()  # stands in for a goal list: no solution, backtrack
 
 
 class Solver:
-    """`host`, if given, supplies environment builtins (networking, node
-    identity): `host.lookup(name, arity)` returns `fn(solver, args) -> bool`
-    or None."""
+    """`builtins` maps (name, arity) to `fn(solver, args) -> bool`; it
+    defaults to `BUILTINS`, and a `Node` passes `BUILTINS` merged over its
+    own."""
 
     def __init__(self, db: Database, limits: Optional[SolveLimits] = None,
-                 host=None):
+                 builtins: Optional[dict] = None):
         self.db = db
         self.limits = limits or SolveLimits()
-        self.host = host
+        self.builtins = BUILTINS if builtins is None else builtins
         self.trail: list = []
         self.steps = 0
 
@@ -418,9 +404,7 @@ class Solver:
 
     def _call(self, goal: Term, key, args: tuple, rest, cps: list):
         """The goal list after calling a builtin or a predicate, or _FAIL."""
-        builtin = _BUILTINS.get(key)
-        if builtin is None and self.host is not None:
-            builtin = self.host.lookup(*key)
+        builtin = self.builtins.get(key)
         if builtin is not None:
             return rest if builtin(self, args) else _FAIL
         builtin = _GENERATORS.get(key)
@@ -428,23 +412,22 @@ class Solver:
             cps.append((self.mark(), builtin(self, args), rest))
             return _FAIL
         clauses = self.db.clauses_for(key, args[0] if args else None) or ()
-        shape = _first_arg_shape(args[0]) if args else None
-        return self._try_clauses(goal, shape, list(clauses), 0, rest, cps)
+        return self._try_clauses(goal, list(clauses), 0, rest, cps)
 
-    def _try_clauses(self, goal: Term, shape, candidates: list, i: int, rest,
+    def _try_clauses(self, goal: Term, candidates: list, i: int, rest,
                      cps: list):
         """The goal list that starts with the body of the first of
         `candidates[i:]` whose renamed head unifies with `goal`, or _FAIL.
-        A choicepoint keeps the clauses after it that `shape` lets through."""
+        A choicepoint keeps the clauses after it."""
         height = len(cps)
-        i = _next_fit(candidates, i, shape)
-        while i < len(candidates):
+        n = len(candidates)
+        while i < n:
             mark = self.mark()
             head, body = _rename(candidates[i])
-            i = _next_fit(candidates, i + 1, shape)
+            i += 1
             if self.unify(goal, head):
-                if i < len(candidates):
-                    cps.append((mark, (goal, shape, candidates, i), rest))
+                if i < n:
+                    cps.append((mark, (goal, candidates, i), rest))
                 return (body, height, rest)
             self.undo(mark)
         return _FAIL
@@ -491,34 +474,58 @@ def _check_int(v: int) -> int:
 
 
 def arith_eval(t: Term) -> int:
-    t = deref(t)
-    if isinstance(t, Int):
-        return t.value
-    if isinstance(t, Var):
-        raise EngineError("type", "unbound variable in arithmetic")
-    if isinstance(t, Struct):
-        if len(t.args) == 1 and t.name == "-":
-            return _check_int(-arith_eval(t.args[0]))
-        if len(t.args) == 2:
-            op = t.name
-            x = arith_eval(t.args[0])
-            y = arith_eval(t.args[1])
+    """Value of an arithmetic expression, evaluated left to right.
+
+    Walks with an explicit stack, so the depth of an expression is not
+    bounded by the interpreter's recursion limit.
+    """
+    values: list = []
+    # expressions still to evaluate; a (name, arity) entry applies an
+    # operator to the last `arity` values
+    todo: list = [t]
+    while todo:
+        x = todo.pop()
+        if type(x) is tuple:
+            op, n = x
+            if n == 1:  # negation
+                values.append(_check_int(-values.pop()))
+                continue
+            y = values.pop()
+            v = values.pop()
             if op == "+":
-                return _check_int(x + y)
-            if op == "-":
-                return _check_int(x - y)
-            if op == "*":
-                return _check_int(x * y)
-            if op == "//":
+                v += y
+            elif op == "-":
+                v -= y
+            elif op == "*":
+                v *= y
+            elif op == "//":
                 if y == 0:
                     raise EngineError("arith", "division by zero")
-                q = abs(x) // abs(y)
-                return _check_int(-q if (x < 0) != (y < 0) else q)
-            if op == "mod":
+                q = abs(v) // abs(y)
+                v = -q if (v < 0) != (y < 0) else q
+            elif op == "mod":
                 if y == 0:
                     raise EngineError("arith", "division by zero")
-                return _check_int(x % y)
-    raise EngineError("type", "not an arithmetic expression")
+                v %= y
+            else:
+                raise EngineError("type", "not an arithmetic expression")
+            values.append(_check_int(v))
+            continue
+        x = deref(x)
+        if isinstance(x, Int):
+            values.append(x.value)
+        elif isinstance(x, Var):
+            raise EngineError("type", "unbound variable in arithmetic")
+        elif isinstance(x, Struct) and len(x.args) == 1 and x.name == "-":
+            todo.append(("-", 1))
+            todo.append(x.args[0])
+        elif isinstance(x, Struct) and len(x.args) == 2:
+            todo.append((x.name, 2))
+            todo.append(x.args[1])
+            todo.append(x.args[0])
+        else:
+            raise EngineError("type", "not an arithmetic expression")
+    return values[0]
 
 
 # --- builtins that succeed at most once: fn(solver, args) -> bool ---
@@ -589,7 +596,9 @@ def _split_clause(t: Term) -> Clause:
 
 def _bi_assert(s, args):
     template = _split_clause(args[0])
-    snapshot = Clause(copy_term(template.head), copy_term(template.body))
+    mapping: dict = {}  # one mapping: the head and the body share variables
+    snapshot = Clause(copy_term(template.head, mapping),
+                      copy_term(template.body, mapping))
     s.db.assert_clause(snapshot)
     return True
 
@@ -630,7 +639,7 @@ def _bi_retract(s, args):
         s.undo(m)
 
 
-_BUILTINS = {
+BUILTINS = {
     ("true", 0): _bi_true,
     ("fail", 0): _bi_fail,
     ("false", 0): _bi_fail,

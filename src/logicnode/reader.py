@@ -426,12 +426,20 @@ def _atom_text(name: str) -> str:
 
 
 def term_text(t: Term, names: Optional[dict] = None) -> str:
-    """Canonical text of a term; `names` carries the variable renaming."""
+    """Canonical text of a term; `names` carries the variable renaming.
+
+    Walks with an explicit stack, so the depth of a term is not bounded by
+    the interpreter's recursion limit.
+    """
     if names is None:
         names = {}
     out = []
-
-    def go(x: Term):
+    todo: list = [t]  # terms to write and, as str, text to copy, last first
+    while todo:
+        x = todo.pop()
+        if type(x) is str:
+            out.append(x)
+            continue
         x = deref(x)
         if isinstance(x, Var):
             name = names.get(id(x))
@@ -446,27 +454,27 @@ def term_text(t: Term, names: Optional[dict] = None) -> str:
         elif isinstance(x, Struct) and x.name == "." and len(x.args) == 2:
             items, tail = list_parts(x)
             out.append("[")
-            for k, item in enumerate(items):
-                if k:
-                    out.append(",")
-                go(item)
+            todo.append("]")
             if not (isinstance(tail, Atom) and tail.name == "[]"):
-                out.append("|")
-                go(tail)
-            out.append("]")
+                todo.append(tail)
+                todo.append("|")
+            _push_args(todo, items)
         elif isinstance(x, Struct):
             out.append(_atom_text(x.name))
             out.append("(")
-            for k, a in enumerate(x.args):
-                if k:
-                    out.append(",")
-                go(a)
-            out.append(")")
+            todo.append(")")
+            _push_args(todo, x.args)
         else:
             raise TypeError("not a term: %r" % (x,))
-
-    go(t)
     return "".join(out)
+
+
+def _push_args(todo: list, args) -> None:
+    """Push `args` to be written comma-separated, the first on top."""
+    for k in range(len(args) - 1, -1, -1):
+        todo.append(args[k])
+        if k:
+            todo.append(",")
 
 
 def serialize(t: Term) -> bytes:

@@ -11,10 +11,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 from .auth import KeyStore, digest_int
-from .engine import Database, EngineError, SolveLimits, Solver
+from .engine import BUILTINS, Database, EngineError, SolveLimits, Solver
 from .reader import Clause, Program, ReaderError, deserialize, serialize, term_text
 from .terms import Atom, Int, Term, copy_term, deref, indicator
 from .wire import Envelope
@@ -68,7 +68,7 @@ class _HandlerContext:
 
 
 class Node:
-    """A running node; also the engine's builtin host."""
+    """A running node."""
 
     def __init__(self, config: NodeConfig, transport):
         self.config = config
@@ -81,7 +81,9 @@ class Node:
         self.metrics = Metrics()
         self._ctx: Optional[_HandlerContext] = None
         self._sends_in_dispatch = 0
-        self._builtins = {
+        # one table for every call: the node's builtins, then the
+        # configured ones, then the engine's, which take precedence
+        self.builtins = {
             ("this_node", 1): self._bi_this_node,
             ("send", 2): partial(self._bi_send, signed=False),
             ("sendall", 3): partial(self._bi_sendall, signed=False),
@@ -93,12 +95,8 @@ class Node:
             ("signed_by", 2): self._bi_signed_by2,
             ("digest_id", 2): self._bi_digest_id,
         }
-        self._builtins.update(config.extra_builtins)
-
-    # --- builtin host interface of the engine's Solver ---
-
-    def lookup(self, name: str, arity: int) -> Optional[Callable]:
-        return self._builtins.get((name, arity))
+        self.builtins.update(config.extra_builtins)
+        self.builtins.update(BUILTINS)
 
     # --- dispatch ---
 
@@ -138,7 +136,7 @@ class Node:
             return "discarded", text, 0
         self.metrics.delivered += 1
         self._ctx = _HandlerContext(envelope)
-        solver = Solver(self.db, self.config.limits, host=self)
+        solver = Solver(self.db, self.config.limits, self.builtins)
         try:
             if solver.solve_first(term) is not None:
                 outcome = "success"

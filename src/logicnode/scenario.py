@@ -31,7 +31,7 @@ from typing import List, Optional
 
 from .auth import load_key_file
 from .reader import Clause, ReaderError, parse_program, parse_term
-from .runtime import NodeConfig
+from .runtime import POLICIES, NodeConfig
 from .sim import SimNetwork
 from .protocols import asset_path
 from .terms import Atom
@@ -203,7 +203,7 @@ class Scenario:
                 for c in parse_program(p.read_text(encoding="utf-8")).clauses:
                     node.db.add_clause(c)
             elif st.op == "policy":
-                if st.args[1] not in ("fail", "throw", "ignore"):
+                if st.args[1] not in POLICIES:
                     raise ScenarioError(st.line_no, "unknown policy %r" % st.args[1])
                 node.config.policy = st.args[1]
             elif st.op == "latency_default":

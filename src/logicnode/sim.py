@@ -191,11 +191,12 @@ class SimNetwork:
 
     def query_all(self, address: str, goal: str) -> list:
         node = self.nodes[address]
-        return Solver(node.db, host=node).solve_all(parse_term(goal))
+        return Solver(node.db, builtins=node.builtins).solve_all(parse_term(goal))
 
     def holds(self, address: str, goal: str) -> bool:
         node = self.nodes[address]
-        return Solver(node.db, host=node).solve_first(parse_term(goal)) is not None
+        solver = Solver(node.db, builtins=node.builtins)
+        return solver.solve_first(parse_term(goal)) is not None
 
     def trace_lines(self) -> list:
         return [r.line() for r in self.trace]

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logicnode.auth import (
-    ALG_HMAC_MD5, ALG_HMAC_SHA256, AuthError, KeyStore, digest, digest_int,
+    AuthError, KeyStore, digest, digest_int,
     full_mesh_keystore, load_key_file, write_key_file)
 
 
@@ -73,20 +73,10 @@ def test_sign_without_key_raises():
 
 
 def test_unknown_algorithm_rejected():
-    with pytest.raises(AuthError):
-        KeyStore(algorithm=9)
     ks = two_party_store()
     mac = ks.sign("a", "b", b"a", b"x")
     mac.algorithm = 9
     assert not ks.verify("a", "b", b"a", b"x", mac)
-
-
-def test_md5_compat_mode():
-    ks = KeyStore(ALG_HMAC_MD5)
-    ks.add_key("a", "b", b"k")
-    mac = ks.sign("a", "b", b"a", b"x")
-    assert len(mac.data) == 16
-    assert ks.verify("a", "b", b"a", b"x", mac)
 
 
 def test_key_file_round_trip(tmp_path):
@@ -126,7 +116,6 @@ def test_digest_int_range_and_stability():
     assert v == digest_int(b"hello")
     assert digest_int(b"hello", bits=16) == v % 65536
     assert digest(b"hello") == digest(b"hello")
-    assert len(digest(b"hello", ALG_HMAC_MD5)) == 16
 
 
 @settings(max_examples=100, deadline=None)

@@ -203,6 +203,12 @@ def test_assert_snapshots_current_bindings():
     assert [term_text(a["Y"]) for a in got] == ["f(a)"]
 
 
+def test_assert_of_a_rule_keeps_head_and_body_variables_shared():
+    s = solver_for("q(1). q(2).\n")
+    assert s.solve_first(parse_term("assert((p(X) :- q(X)))")) is not None
+    assert [a["Y"].value for a in s.solve_all(parse_term("p(Y)"))] == [1, 2]
+
+
 def test_retract_removes_one_match_per_solution():
     s = solver_for(":- dynamic p/1.\np(a). p(b).\n")
     assert s.solve_first(parse_term("retract(p(a))")) is not None
@@ -340,7 +346,7 @@ def test_variable_first_argument_asserted_into_indexed_predicate():
     s.solve_first(parse_term("assert(p(_, 3)), assert(p(a, 4))"))
     assert ids(s, "p(a, I)") == [1, 3, 4]
     assert ids(s, "p(b, I)") == [2, 3]
-    assert len(s.db.clauses_for(("p", 2), Atom("a"))) == 4  # no index
+    assert len(s.db.clauses_for(("p", 2), Atom("a"))) == 3
     assert s.solve_first(parse_term("retract(p(c, 3))")) is not None
     assert ids(s, "p(a, I)") == [1, 4]
     assert ids(s, "p(c, I)") == []
@@ -368,6 +374,27 @@ def test_integer_and_quoted_atom_get_different_keys():
     s = solver_for("p(1, 1). p('1', 2). p(a-1, 3). p(a-'1', 4).\n")
     assert [ids(s, "p(%s, I)" % q) for q in ("1", "'1'", "a-1", "a-'1'")] == [
         [1], [2], [3], [4]]
+
+
+def test_one_variable_clause_does_not_disable_the_index():
+    db = Database()
+    for i in range(10_000):
+        db.add_clause(Clause(parse_term("p(k%d, %d)" % (i, i)), Atom("true")))
+    db.add_clause(parse_program("p(X, -1) :- fail.\n").clauses[0])
+    got = db.clauses_for(("p", 2), Atom("k9000"))
+    assert [term_text(c.head) for c in got] == ["p(k9000,9000)", "p(_G1,-1)"]
+
+
+LEN_CLAUSES = ["len([], 0).", "len([_|T], N) :- len(T, M), N is M + 1."]
+
+
+@pytest.mark.parametrize("order", [LEN_CLAUSES, LEN_CLAUSES[::-1]])
+def test_a_list_cell_call_gets_only_the_list_clause(order):
+    s = solver_for("\n".join(order) + "\n")
+    cell = parse_term("[a, b]")
+    assert [term_text(c.head) for c in s.db.clauses_for(("len", 2), cell)] == [
+        "len([_G1|_G2],_G3)"]
+    assert term_text(s.solve_first(parse_term("len([a, b, c], N)"))["N"]) == "3"
 
 
 FIRST_ARGS = ["a", "b", "'1'", "1", "2", "a-1", "a-'1'", "f(a, 1)", "[]",

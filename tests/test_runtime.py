@@ -291,6 +291,46 @@ keep(X) :- assert(kept(X)), this_node(Me), send(Me, X).
     assert node.dump_facts("kept", 1) == "kept(%s)" % deep
 
 
+DEEP_SRC = """
+:- event deep_send/1, deep_sum/1, deep_fact/1.
+:- dynamic sum/1, deep/1.
+nest(0, T, T).
+nest(N, A, T) :- N > 0, M is N - 1, nest(M, f(A), T).
+plus(0, E, E).
+plus(N, A, E) :- N > 0, M is N - 1, plus(M, A + 1, E).
+deep_send(N) :- nest(N, a, T), this_node(Me), send(Me, got(T)).
+deep_sum(N) :- plus(N, 0, E), S is E, assert(sum(S)).
+deep_fact(N) :- nest(N, a, T), assert(deep(T)).
+"""
+
+
+def test_handler_sends_a_term_nested_past_the_recursion_limit():
+    net, node = make_net(DEEP_SRC)
+    assert node.dispatch(Envelope("x", b"deep_send(5000)"))[::2] == ("success", 1)
+
+
+def test_handler_evaluates_an_expression_nested_past_the_recursion_limit():
+    net, node = make_net(DEEP_SRC)
+    assert node.dispatch(Envelope("x", b"deep_sum(5000)"))[0] == "success"
+    assert node.dump_facts("sum", 1) == "sum(5000)"
+
+
+def test_dump_facts_writes_a_fact_nested_past_the_recursion_limit():
+    net, node = make_net(DEEP_SRC)
+    assert node.dispatch(Envelope("x", b"deep_fact(5000)"))[0] == "success"
+    assert node.dump_facts("deep", 1) == "deep(%sa%s)" % ("f(" * 5000, ")" * 5000)
+
+
+def test_extra_builtin_does_not_replace_unification():
+    def never(solver, args):
+        return False
+
+    src = ":- event go/0.\n:- dynamic done/1.\ngo :- X = a, assert(done(X)).\n"
+    net, node = make_net(src, extra_builtins={("=", 2): never})
+    assert node.dispatch(Envelope("x", b"go"))[0] == "success"
+    assert node.dump_facts("done", 1) == "done(a)"
+
+
 def test_unexpected_exception_is_an_internal_error():
     def explode(solver, args):
         return 1 // 0

@@ -9,7 +9,7 @@ from logicnode.runtime import NodeConfig, start_node
 from logicnode.tcp import TcpTransport, split_hostport
 from logicnode.wire import Envelope, StreamDecoder, encode_envelope
 
-from test_runtime import HOSTILE_PAYLOADS
+from test_runtime import DEEP_SRC, HOSTILE_PAYLOADS
 
 COUNT_SRC = """
 :- event ping/1.
@@ -218,6 +218,21 @@ def test_node_serves_pings_after_a_hostile_frame(server, name):
     assert node.metrics.decode_errors == 1
     req = encode_envelope(Envelope("tester", serialize(parse_term("'$dump'(seen, 1)"))))
     assert send_raw(addr, req, read_reply=True) == b"seen(ok)"
+
+
+def test_node_serves_pings_after_dumping_a_deeply_nested_fact():
+    addr, node, transport, _ = start_server(COUNT_SRC + DEEP_SRC)
+    try:
+        send_raw(addr, encode_envelope(Envelope("tester", b"deep_fact(5000)")))
+        assert wait_for(lambda: node.metrics.delivered == 1)
+        req = encode_envelope(Envelope("tester", serialize(parse_term("'$dump'(deep, 1)"))))
+        assert send_raw(addr, req, read_reply=True) == (
+            b"deep(" + b"f(" * 5000 + b"a" + b")" * 5001)
+        send_raw(addr, ping_frame("after"))
+        assert wait_for(lambda: node.metrics.delivered == 2)
+        assert node.dump_facts("seen", 1) == "seen(after)"
+    finally:
+        transport.stop()
 
 
 def test_one_thread_serves_every_connection():
