@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""One sha256 per simulator run, over the run's trace lines.
+"""One sha256 per simulator run, over the run's trace lines, and the run's
+total solver steps.
 
 Runs a 16-node ring with 200 lookups (seed 3), the replicas at batch sizes
 1 and 4 (40 requests each) and a spanning tree over a 60-node random graph.
 The simulator is deterministic, so two trees of the code that should behave
-the same print the same digests:
+the same print the same digests and step counts:
 
     PYTHONPATH=src python3 scripts/trace_digest.py
 """
@@ -12,6 +13,7 @@ the same print the same digests:
 import hashlib
 import random
 
+from logicnode.engine import Solver
 from logicnode.protocols.chord import ChordSim
 from logicnode.protocols.spanning_tree import random_connected_graph, run_spanning_tree
 from logicnode.protocols.zyzzyva import ZyzzyvaSim
@@ -43,12 +45,27 @@ RUNS = (
 )
 
 
+def count_steps(total: list) -> None:
+    """Add the steps of every `Solver` query to total[0]."""
+    for entry in ("solve_first", "solve_all"):
+        def counted(solver, goal, _query=getattr(Solver, entry)):
+            before = solver.steps
+            try:
+                return _query(solver, goal)
+            finally:
+                total[0] += solver.steps - before
+        setattr(Solver, entry, counted)
+
+
 def main() -> None:
+    steps = [0]
+    count_steps(steps)
     for name, run in RUNS:
+        steps[0] = 0
         lines = run().trace_lines()
         text = "".join(line + "\n" for line in lines)
-        print("%s %s events=%d" % (name, hashlib.sha256(text.encode("utf-8")).hexdigest(),
-                                   len(lines)))
+        print("%s %s events=%d steps=%d" % (
+            name, hashlib.sha256(text.encode("utf-8")).hexdigest(), len(lines), steps[0]))
 
 
 if __name__ == "__main__":

@@ -1,14 +1,28 @@
 """Depth-first resolution over a dynamic clause database.
 
 `Solver.solutions` runs a goal in one loop over a goal list of linked frames
-(goal, cut height, rest) and a stack of choicepoints, after Warren's abstract
-machine; bindings are undone through a trail.  A cut drops the choicepoints
-made since its clause was called.  A goal whose solutions are collected or
-tested (a query, `findall`, `count`, `sendall`, the condition of a negation
-or of `->`) runs in a nested `solutions`, so a cut there ends only that
-goal's solutions.  Only such nesting takes Python stack: `SolveLimits` bounds
-logic recursion.  Unknown predicates fail quietly: handler programs
-routinely query predicates before the first matching assert.
+(goal, slots, cut height, rest) and a stack of choicepoints, after Warren's
+abstract machine; bindings are undone through a trail.  A cut drops the
+choicepoints made since its clause was called.  `( C -> T ; E )` and
+`( C -> T )` run in the same loop: a choicepoint keeps `E`, `C` runs with its
+cut height above that choicepoint, and a commit marker after `C` (not a step)
+drops the choicepoints back to the height before it.  A goal whose solutions
+are collected or tested (a query, `findall`, `count`, `sendall`, a negation)
+runs in a nested `solutions`, so a cut there ends only that goal's
+solutions.  Only such nesting takes Python stack: `SolveLimits` bounds logic
+recursion.  Unknown predicates fail quietly: handler programs routinely
+query predicates before the first matching assert.
+
+Each clause is compiled once (`_rename`) into patterns over an array of
+variable slots: a slot number for a variable, the term itself for a ground
+subterm, and (name, argument patterns) for a compound that holds a
+variable.  A call matches the head patterns against its arguments directly:
+a slot met for the first time takes the argument as it is, a ground pattern
+is compared or bound, and a compound pattern is matched argument by argument
+or, against an unbound variable, built.  The body goes on the goal list as
+a pattern with the call's slots; `,`, `;` and `->` are taken apart there,
+and a call builds its own arguments only when it runs.  A goal that is a
+term (a query, or a variable's value) is its own pattern: it holds no slot.
 
 Builtins that succeed at most once (the tests, arithmetic, `findall`,
 `count`, `assert`, and every builtin of a `Node` or of
@@ -21,13 +35,16 @@ switch.  A first argument has a key when it is an atom, an integer, or a
 flat ground compound (one whose arguments are all atoms or integers, such
 as `5-1`); two keys are equal exactly when the terms are `==`.  Each
 predicate's index maps a key to the clauses a call with that key must try,
-in database order: the clauses with that key and every clause without one.
-A call whose first argument is a compound without a key (a list cell,
-`finger(I)`) reads its functor's list instead: the clauses whose key has
-that name and arity, and every clause without a key.  A call with an
-unbound first argument tries the whole predicate.  The index is built on
-the first call with a bound first argument, and from then on `assert`,
-consult-time loading and `retract` keep it current.
+in database order: the clauses with that key, the clauses whose first
+argument is a variable and, for a compound key, the clauses whose first
+argument is a compound of the same name and arity without a key.  A keyed
+call with no list of its own reads its functor's fallback list (for a
+compound) or the variable clauses.  A call whose first argument is a
+compound without a key (a list cell, `finger(I)`) reads its functor's list:
+every clause whose first argument has that name and arity, and the variable
+clauses.  A call with an unbound first argument tries the whole predicate.
+The index is built on the first call with a bound first argument, and from
+then on `assert`, consult-time loading and `retract` keep it current.
 """
 
 from __future__ import annotations
@@ -63,8 +80,9 @@ class Database:
         self.preds: dict = {}        # (name, arity) -> list[Clause]
         # (name, arity) -> {call key: list[Clause]}, absent until first used.
         # Call keys: a first-argument key; (arity, name) for a functor's
-        # list, which no key equals, as a compound's key starts with its
-        # name; None for the clauses without a key, in every list
+        # list and (None, arity, name) for its fallback list, which no key
+        # equals, as a compound's key starts with its name; None for the
+        # clauses whose first argument is a variable, in every list
         self._index: dict = {}
         self.dynamic: set = set()
         self.events: set = set()
@@ -111,7 +129,9 @@ class Database:
             key = (len(first.args), first.name)
             if key not in index:
                 index[key] = [c for c in clauses if _in_functor_list(c, key)]
-        return index.get(key, index[None])
+            return index[key]
+        got = index.get(key)
+        return _fallback(index, key) if got is None else got
 
     def _index_add(self, ind, clause: Clause) -> None:
         index = self._index.get(ind)
@@ -119,7 +139,7 @@ class Database:
             return
         key = _clause_key(clause)
         if key is not None and key not in index:
-            index[key] = list(index[None])  # the clauses without a key, all older
+            index[key] = list(_fallback(index, key))  # its other clauses, all older
         for bucket in _lists_holding(index, key):
             bucket.append(clause)
 
@@ -150,7 +170,7 @@ class Database:
         key = _clause_key(clause)
         for bucket in _lists_holding(index, key):
             bucket.remove(clause)
-        if key is not None and len(index[key]) == len(index[None]):
+        if key is not None and len(index[key]) == len(_fallback(index, key)):
             del index[key]  # no clause with this key is left
 
     def facts(self, name: str, arity: int) -> list:
@@ -163,69 +183,85 @@ class Database:
         return out
 
 
-def _compile(terms) -> tuple:
-    """Postfix code that builds `terms`, and the names of their variables.
+def _rename(clause: Clause) -> tuple:
+    """The compiled code of a stored clause, compiled on its first call:
+    (slot count, head argument patterns, body pattern).
 
-    Each instruction is (0, term): push a ground subterm, shared between
-    instances; (1, slot): push the slot's fresh variable; or (2, name, n):
-    pop n arguments and push the compound.
-    """
-    code: list = []
-    slots: dict = {}
-    names: list = []
-    todo = [(t, False) for t in reversed(terms)]
-    while todo:
-        t, args_done = todo.pop()
-        if args_done:
-            n = len(t.args)
-            # a non-ground argument's code ends in a (1, ...) or a (2, ...)
-            if all(c[0] == 0 for c in code[-n:]):
-                del code[-n:]
-                code.append((0, t))
-            else:
-                code.append((2, t.name, n))
-            continue
-        t = deref(t)
-        if type(t) is Var:
-            slot = slots.get(id(t))
-            if slot is None:
-                slot = slots[id(t)] = len(names)
-                names.append(t.name)
-            code.append((1, slot))
-        elif type(t) is Struct:
-            todo.append((t, True))
-            todo.extend((a, False) for a in reversed(t.args))
-        else:
-            code.append((0, t))
-    return code, names
-
-
-def _rename(clause: Clause):
-    """Fresh-variable instance of a stored clause.
-
-    Compiled once per clause: ground subterms are shared, only the
-    variable-carrying spine is rebuilt.
+    Called once per clause a call or a `retract` tries.
     """
     code = getattr(clause, "code", None)
     if code is None:
-        code = clause.code = _compile((clause.head, clause.body))
-    ops, names = code
-    if not names:
-        return clause.head, clause.body
-    fresh = [Var(n) for n in names]
-    stack: list = []
-    for op in ops:
-        tag = op[0]
-        if tag == 0:
-            stack.append(op[1])
-        elif tag == 1:
-            stack.append(fresh[op[1]])
+        head = deref(clause.head)
+        nslots, patterns = _patterns((head.args if type(head) is Struct else ())
+                                     + (clause.body,))
+        code = clause.code = (nslots, patterns[:-1], patterns[-1])
+    return code
+
+
+def _patterns(terms: tuple) -> tuple:
+    """(slot count, the pattern of each term)."""
+    slots: dict = {}  # id of a variable -> its slot
+    done: list = []  # patterns, in order
+    # terms still to compile; a 1-tuple (compound,) makes that compound's
+    # pattern from the last patterns, one per argument
+    todo = list(reversed(terms))
+    while todo:
+        t = todo.pop()
+        if type(t) is tuple:
+            t = t[0]
+            n = len(t.args)
+            args = tuple(done[-n:])
+            del done[-n:]
+            if any(type(a) is int or type(a) is tuple for a in args):
+                done.append((t.name, args))
+            else:
+                done.append(t)  # ground: shared by every call
+            continue
+        t = deref(t)
+        if type(t) is Var:
+            done.append(slots.setdefault(id(t), len(slots)))
+        elif type(t) is Struct:
+            todo.append((t,))
+            todo.extend(reversed(t.args))
         else:
-            n = op[2]
-            args = tuple(stack[-n:])
-            del stack[-n:]
-            stack.append(Struct(op[1], args))
-    return stack[0], stack[1]
+            done.append(t)
+    return len(slots), tuple(done)
+
+
+def _build(p, slots: list) -> Term:
+    """The term that pattern `p` stands for; a slot met for the first time
+    gets a fresh variable."""
+    tp = type(p)
+    if tp is int:
+        v = slots[p]
+        if v is None:
+            v = slots[p] = Var("_G")
+        return v
+    if tp is not tuple:
+        return p
+    done: list = []
+    # patterns still to build; a (name, n) entry makes a compound of the
+    # last n terms built
+    todo = [p]
+    while todo:
+        x = todo.pop()
+        tx = type(x)
+        if tx is int:
+            v = slots[x]
+            if v is None:
+                v = slots[x] = Var("_G")
+            done.append(v)
+        elif tx is not tuple:
+            done.append(x)
+        elif type(x[1]) is tuple:  # a compound pattern
+            todo.append((x[0], len(x[1])))
+            todo.extend(reversed(x[1]))
+        else:
+            n = x[1]
+            args = tuple(done[-n:])
+            del done[-n:]
+            done.append(Struct(x[0], args))
+    return done[0]
 
 
 def _first_arg_key(t: Term):
@@ -256,27 +292,52 @@ def _first_arg_key(t: Term):
 
 
 def _clause_key(clause: Clause):
-    return _first_arg_key(deref(clause.head).args[0])
+    """The call key whose list a clause belongs to: its first argument's key;
+    for a compound without a key, its functor's fallback list; None for a
+    variable."""
+    first = deref(deref(clause.head).args[0])
+    key = _first_arg_key(first)
+    if key is None and type(first) is Struct:
+        return (None, len(first.args), first.name)
+    return key
+
+
+def _fallback(index: dict, key) -> list:
+    """The list a call with `key` reads when the key has none of its own."""
+    if type(key) is tuple and key[0] is not None:  # a flat compound
+        got = index.get((None, len(key) - 1, key[0]))
+        if got is not None:
+            return got
+    return index[None]
 
 
 def _in_functor_list(clause: Clause, functor: tuple) -> bool:
     """Whether a call whose first argument is a compound without a key, of
     `functor` (arity, name), must try `clause`."""
     key = _clause_key(clause)
-    return key is None or (type(key) is tuple and len(key) == functor[0] + 1
-                           and key[0] == functor[1])
+    if type(key) is not tuple:
+        return key is None
+    if key[0] is None:
+        return key[1:] == functor
+    return len(key) == functor[0] + 1 and key[0] == functor[1]
 
 
 def _lists_holding(index: dict, key) -> list:
-    """The lists of `index` that hold a clause whose first argument has
-    `key`: every list if it has none."""
+    """The lists of `index` that hold a clause whose call key is `key`."""
     if key is None:
         return list(index.values())
-    functor = index.get((len(key) - 1, key[0])) if type(key) is tuple else None
+    if type(key) is not tuple:
+        return [index[key]]
+    if key[0] is None:  # every list of its functor, and each key of it
+        _, n, name = key
+        return [b for k, b in index.items() if type(k) is tuple and (
+            k == key or k == (n, name) or (k[0] == name and len(k) == n + 1))]
+    functor = index.get((len(key) - 1, key[0]))
     return [index[key]] if functor is None else [index[key], functor]
 
 
 _FAIL = object()  # stands in for a goal list: no solution, backtrack
+_COMMIT = object()  # a goal that ends an if-then-else condition
 
 
 class Solver:
@@ -302,10 +363,6 @@ class Solver:
         while len(trail) > mark:
             trail.pop().ref = None
 
-    def bind(self, var: Var, term: Term) -> None:
-        var.ref = term
-        self.trail.append(var)
-
     def unify(self, a: Term, b: Term) -> bool:
         """Trails bindings; on failure the caller must undo to its mark."""
         stack = [(a, b)]
@@ -316,9 +373,11 @@ class Solver:
             if x is y:
                 continue
             if isinstance(x, Var):
-                self.bind(x, y)
+                x.ref = y
+                self.trail.append(x)
             elif isinstance(y, Var):
-                self.bind(y, x)
+                y.ref = x
+                self.trail.append(y)
             elif isinstance(x, Atom):
                 if not (isinstance(y, Atom) and y.name == x.name):
                     return False
@@ -334,6 +393,42 @@ class Solver:
                 return False
         return True
 
+    def _match(self, pats, args, slots: list) -> bool:
+        """Unify the terms `args` with the patterns `pats` over `slots`.
+        Trails bindings; on failure the caller must undo to its mark."""
+        trail = self.trail
+        todo: list = []  # (patterns, terms) of compounds still to match
+        while True:
+            for p, t in zip(pats, args):
+                tp = type(p)
+                if tp is int:
+                    v = slots[p]
+                    if v is None:
+                        slots[p] = t
+                    elif not self.unify(v, t):
+                        return False
+                    continue
+                t = deref(t)
+                if type(t) is Var:
+                    t.ref = _build(p, slots) if tp is tuple else p
+                    trail.append(t)
+                elif tp is tuple:
+                    if not (type(t) is Struct and t.name == p[0]
+                            and len(t.args) == len(p[1])):
+                        return False
+                    todo.append((p[1], t.args))
+                elif tp is Atom:
+                    if not (type(t) is Atom and t.name == p.name):
+                        return False
+                elif tp is Int:
+                    if not (type(t) is Int and t.value == p.value):
+                        return False
+                elif not self.unify(p, t):
+                    return False
+            if not todo:
+                return True
+            pats, args = todo.pop()
+
     # --- resolution ---
 
     def solutions(self, goal: Term) -> Iterator[None]:
@@ -343,13 +438,16 @@ class Solver:
         solutions, not those of the caller.  When the solutions run out, by
         failure or by a cut, every binding they made is undone.
         """
-        base = self.mark()
+        trail = self.trail
+        builtins = self.builtins
+        max_steps = self.limits.max_steps
+        base = len(trail)
         # choicepoints: (trail mark, alternatives, goal list).  A predicate
         # call's alternatives are the arguments of `_try_clauses` that resume
-        # it; others are an iterator that yields once per way on to the goal
-        # list (a generator builtin, or one None for a disjunction)
+        # it; None is one way on to the goal list (the right branch of a
+        # disjunction, an else branch); others are a generator builtin
         cps: list = []
-        goals = (goal, 0, None)  # goal list: (goal, cut height, rest)
+        goals = (goal, None, 0, None)  # goal list: (goal, slots, cut height, rest)
         while True:
             if goals is None:  # every goal is proved
                 yield
@@ -360,7 +458,9 @@ class Solver:
                     return
                 mark, alts, rest = cps.pop()
                 self.undo(mark)
-                if type(alts) is tuple:
+                if alts is None:
+                    goals = rest
+                elif type(alts) is tuple:
                     goals = self._try_clauses(*alts, rest, cps)
                 elif next(alts, _FAIL) is _FAIL:
                     goals = _FAIL
@@ -368,67 +468,87 @@ class Solver:
                     cps.append((mark, alts, rest))
                     goals = rest
                 continue
-            goal, height, rest = goals
+            goal, slots, height, rest = goals
+            if goal is _COMMIT:
+                del cps[height:]
+                goals = rest
+                continue
             self.steps += 1
-            if self.steps > self.limits.max_steps:
+            if self.steps > max_steps:
                 raise EngineError("step_limit", "resolution step budget exhausted")
-            goal = deref(goal)
-            if isinstance(goal, Struct):
+            tg = type(goal)
+            if tg is int or tg is Var:  # a variable: call its value
+                goal = deref(goal if tg is Var else slots[goal])
+                tg = type(goal)
+            if tg is tuple:
+                name, args = goal
+            elif tg is Struct:
                 name = goal.name
                 args = goal.args
-            elif isinstance(goal, Atom):
+            elif tg is Atom:
                 name = goal.name
                 args = ()
             else:
-                raise EngineError("type", "unbound goal" if isinstance(goal, Var)
-                                  else "integer is not callable")
+                raise EngineError("type", "integer is not callable" if tg is Int
+                                  else "unbound goal")
             arity = len(args)
             if arity == 2 and name == ",":
-                goals = (args[0], height, (args[1], height, rest))
+                goals = (args[0], slots, height, (args[1], slots, height, rest))
             elif arity == 0 and name == "!":
                 del cps[height:]
                 goals = rest
             elif arity == 2 and name == ";":
-                left = deref(args[0])
-                if (isinstance(left, Struct) and left.name == "->"
-                        and len(left.args) == 2):
-                    branch = left.args[1] if self.first(left.args[0]) else args[1]
-                    goals = (branch, height, rest)
+                left = args[0]
+                if type(left) is int:
+                    left = slots[left]
+                left = deref(left)
+                if type(left) is tuple and left[0] == "->" and len(left[1]) == 2:
+                    cond = left[1]
+                elif type(left) is Struct and left.name == "->" and len(left.args) == 2:
+                    cond = left.args
                 else:
-                    cps.append((self.mark(), iter((None,)), (args[1], height, rest)))
-                    goals = (left, height, rest)
+                    cond = None
+                cps.append((len(trail), None, (args[1], slots, height, rest)))
+                if cond is None:
+                    goals = (left, slots, height, rest)
+                else:
+                    goals = (cond[0], slots, len(cps), (_COMMIT, None, len(cps) - 1,
+                                                       (cond[1], slots, height, rest)))
             elif arity == 2 and name == "->":
-                goals = (args[1], height, rest) if self.first(args[0]) else _FAIL
+                goals = (args[0], slots, len(cps), (_COMMIT, None, len(cps),
+                                                   (args[1], slots, height, rest)))
             else:
-                goals = self._call(goal, (name, arity), args, rest, cps)
+                if tg is tuple:
+                    args = [_build(p, slots) for p in args]
+                key = (name, arity)
+                builtin = builtins.get(key)
+                if builtin is not None:
+                    goals = rest if builtin(self, args) else _FAIL
+                    continue
+                builtin = _GENERATORS.get(key)
+                if builtin is not None:  # backtracking takes its first solution
+                    cps.append((len(trail), builtin(self, args), rest))
+                    goals = _FAIL
+                    continue
+                clauses = self.db.clauses_for(key, args[0] if args else None) or ()
+                goals = self._try_clauses(args, list(clauses), 0, rest, cps)
 
-    def _call(self, goal: Term, key, args: tuple, rest, cps: list):
-        """The goal list after calling a builtin or a predicate, or _FAIL."""
-        builtin = self.builtins.get(key)
-        if builtin is not None:
-            return rest if builtin(self, args) else _FAIL
-        builtin = _GENERATORS.get(key)
-        if builtin is not None:  # backtracking takes its first solution
-            cps.append((self.mark(), builtin(self, args), rest))
-            return _FAIL
-        clauses = self.db.clauses_for(key, args[0] if args else None) or ()
-        return self._try_clauses(goal, list(clauses), 0, rest, cps)
-
-    def _try_clauses(self, goal: Term, candidates: list, i: int, rest,
-                     cps: list):
+    def _try_clauses(self, args, candidates: list, i: int, rest, cps: list):
         """The goal list that starts with the body of the first of
-        `candidates[i:]` whose renamed head unifies with `goal`, or _FAIL.
-        A choicepoint keeps the clauses after it."""
+        `candidates[i:]` whose head matches `args`, or _FAIL.  A choicepoint
+        keeps the clauses after it."""
         height = len(cps)
         n = len(candidates)
+        trail = self.trail
         while i < n:
-            mark = self.mark()
-            head, body = _rename(candidates[i])
+            mark = len(trail)
+            nslots, heads, body = _rename(candidates[i])
             i += 1
-            if self.unify(goal, head):
+            slots = [None] * nslots
+            if self._match(heads, args, slots):
                 if i < n:
-                    cps.append((mark, (goal, candidates, i), rest))
-                return (body, height, rest)
+                    cps.append((mark, (args, candidates, i), rest))
+                return (body, slots, height, rest)
             self.undo(mark)
         return _FAIL
 
@@ -479,6 +599,9 @@ def arith_eval(t: Term) -> int:
     Walks with an explicit stack, so the depth of an expression is not
     bounded by the interpreter's recursion limit.
     """
+    t = deref(t)
+    if type(t) is Int:  # most comparisons and many `is` goals
+        return t.value
     values: list = []
     # expressions still to evaluate; a (name, arity) entry applies an
     # operator to the last `arity` values
@@ -621,8 +744,8 @@ def _bi_member(s, args):
 def _bi_retract(s, args):
     template = _split_clause(args[0])
     ind = indicator(template.head)
-    first = template.head.args[0] if isinstance(template.head, Struct) else None
-    candidates = s.db.clauses_for(ind, first)
+    targs = template.head.args if isinstance(template.head, Struct) else ()
+    candidates = s.db.clauses_for(ind, targs[0] if targs else None)
     if candidates is None:
         return
     if not s.db.is_dynamic(ind):
@@ -632,8 +755,9 @@ def _bi_retract(s, args):
         if not any(c is clause for c in live):
             continue  # retracted since this call began
         m = s.mark()
-        head, body = _rename(clause)
-        if s.unify(template.head, head) and s.unify(template.body, body):
+        nslots, heads, body = _rename(clause)
+        slots = [None] * nslots
+        if s._match(heads, targs, slots) and s._match((body,), (template.body,), slots):
             s.db.retract(ind, clause)
             yield
         s.undo(m)

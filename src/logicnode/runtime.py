@@ -97,6 +97,7 @@ class Node:
         }
         self.builtins.update(config.extra_builtins)
         self.builtins.update(BUILTINS)
+        self.solver = Solver(self.db, config.limits, self.builtins)
 
     # --- dispatch ---
 
@@ -136,9 +137,9 @@ class Node:
             return "discarded", text, 0
         self.metrics.delivered += 1
         self._ctx = _HandlerContext(envelope)
-        solver = Solver(self.db, self.config.limits, self.builtins)
+        self.solver.steps = 0  # the budget is per dispatch; solve_first empties the trail
         try:
-            if solver.solve_first(term) is not None:
+            if self.solver.solve_first(term) is not None:
                 outcome = "success"
             else:
                 outcome = "failure"

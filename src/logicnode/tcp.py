@@ -11,6 +11,9 @@ closed at once.  Outbound connections are cached until they break (one
 reconnect attempt) or the cache is full (oldest idle evicted).  They are
 non-blocking: while a peer's window is full, `send` reads inbound frames into
 the inbox without dispatching them, so flooding nodes both make progress.
+Otherwise the loop reads no connection while the inbox holds `INBOX_LIMIT`
+envelopes, so the inbox holds at most that many plus those of one read
+(64 KiB) however fast peers send; it reads again once the inbox drains.
 
 Handlers call `send` and `schedule_alarm` on the loop thread.  `stop` may be
 called from any thread; the loop then closes every socket within `POLL_S`.
@@ -36,6 +39,7 @@ from .wire import Envelope, FrameError, StreamDecoder, encode_envelope
 
 DUMP_FUNCTOR = "$dump"
 POLL_S = 0.2  # longest wait in select, so that stop() is seen promptly
+INBOX_LIMIT = 1024  # envelopes; pingpong keeps at most 128 in flight
 
 
 def split_hostport(address: str) -> Tuple[str, int]:
@@ -111,7 +115,7 @@ class TcpTransport:
                     raise OSError("transport stopped")
                 self._sel.register(sock, selectors.EVENT_WRITE)
                 try:
-                    self._poll(POLL_S)
+                    self._poll(POLL_S, bounded=False)
                 finally:
                     self._sel.unregister(sock)
 
@@ -141,12 +145,14 @@ class TcpTransport:
 
     # --- inbound ---
 
-    def _poll(self, timeout: float) -> None:
-        """Accept and read whatever is ready; dispatch nothing."""
+    def _poll(self, timeout: float, bounded: bool = True) -> None:
+        """Accept and read whatever is ready; dispatch nothing.  When
+        `bounded`, a connection is read only while the inbox is below
+        `INBOX_LIMIT`; the others stay ready for the next poll."""
         for key, _ in self._sel.select(timeout):
             if key.fileobj is self._listener:
                 self._accept()
-            elif key.data is not None:
+            elif key.data is not None and not (bounded and len(self._inbox) >= INBOX_LIMIT):
                 self._read(key.fileobj, key.data)
 
     def _accept(self) -> None:

@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from logicnode import engine
 from logicnode.engine import Database, EngineError, SolveLimits, Solver, _first_arg_key
 from logicnode.reader import Clause, parse_program, parse_term, term_text
-from logicnode.terms import Atom, Int, Struct, Var, copy_term, list_parts, mklist
+from logicnode.terms import Atom, Int, Struct, Var, copy_term, deref, list_parts, mklist
 
 
 def unify_terms(a, b):
@@ -66,7 +67,8 @@ def test_cut_is_clause_local():
 
 
 # A cut inside an all-solutions goal (findall, count, negation, an
-# if-then-else condition, a top-level query) ends that goal's solutions only.
+# if-then-else condition, a top-level query) ends that goal's solutions only;
+# a cut in a condition keeps the else branch and the clause's alternatives.
 CUT_LOCALITY = [
     ("p(1). p(2). p(3).\n", "findall(X, (p(X), !), L)", [{"L": "[1]"}]),
     ("", "count((member(X, [a, b]), !), N)", [{"N": "1"}]),
@@ -76,6 +78,8 @@ CUT_LOCALITY = [
     ("p(1). p(2). p(3).\n", "(p(X), !) ; X = 9", [{"X": "1"}]),
     ("", "assert(d(1)), assert(d(2)), findall(X, (retract(d(X)), !), L), "
          "findall(Y, d(Y), Left)", [{"L": "[1]", "Left": "[2]"}]),
+    ("t(R) :- ( member(X, [1, 2]), !, X > 1 -> R = yes ; R = no ).\nt(other).\n",
+     "t(R)", [{"R": "no"}, {"R": "other"}]),
 ]
 
 
@@ -86,8 +90,9 @@ def test_cut_stays_local_to_an_all_solutions_goal(src, goal, expected):
 
 
 # Control constructs: a bare `->`, a cut in a then-branch, an else-branch
-# and a plain disjunct (each commits the enclosing clause), and the order in
-# which a conjunction of two generators backtracks.
+# and a plain disjunct (each commits the enclosing clause), the order in
+# which a conjunction of two generators backtracks, a condition that
+# backtracks before it commits, and if-then-else called through a variable.
 CONTROL = [
     ("", "(true -> X = a)", [{"X": "a"}]),
     ("", "(fail -> X = a)", []),
@@ -103,6 +108,11 @@ CONTROL = [
     ("", "member(X, [a, b]), member(Y, [c, d])",
      [{"X": "a", "Y": "c"}, {"X": "a", "Y": "d"},
       {"X": "b", "Y": "c"}, {"X": "b", "Y": "d"}]),
+    ("p(1). p(2). p(3).\nq(X, R) :- ( p(X), X > 1 -> R = X ; R = none ).\n",
+     "q(X, R)", [{"X": "2", "R": "2"}]),
+    ("", "G = (X > 0 -> R = pos ; R = neg), X = 1, G", [{"R": "pos"}]),
+    ("c(G) :- G.\n", "G = (X > 0 -> R = pos ; R = neg), X = 0, c(G)", [{"R": "neg"}]),
+    ("c(G) :- G.\n", "X = 2, c((X > 1 -> R = big))", [{"R": "big"}]),
 ]
 
 
@@ -350,7 +360,8 @@ def test_variable_first_argument_asserted_into_indexed_predicate():
     assert s.solve_first(parse_term("retract(p(c, 3))")) is not None
     assert ids(s, "p(a, I)") == [1, 4]
     assert ids(s, "p(c, I)") == []
-    assert len(s.db.clauses_for(("p", 2), Atom("a"))) == 2  # indexed again
+    # the clause without a key has left every list
+    assert len(s.db.clauses_for(("p", 2), Atom("a"))) == 2
 
 
 def test_retract_while_a_call_iterates_the_same_bucket():
@@ -397,6 +408,37 @@ def test_a_list_cell_call_gets_only_the_list_clause(order):
     assert term_text(s.solve_first(parse_term("len([a, b, c], N)"))["N"]) == "3"
 
 
+def count_renames(monkeypatch) -> list:
+    renames = [0]
+    rename = engine._rename
+
+    def counted(clause):
+        renames[0] += 1
+        return rename(clause)
+
+    monkeypatch.setattr(engine, "_rename", counted)
+    return renames
+
+
+def test_a_compound_clause_is_not_tried_by_an_atom_call(monkeypatch):
+    s = solver_for("max_pair([(D, A) | T], Best) :- max_acc(T, D, A, Best).\n"
+                   + "\n".join(LEN_CLAUSES) + "\n")
+    renames = count_renames(monkeypatch)
+    assert s.solve_first(parse_term("max_pair([], B)")) is None
+    assert renames == [0]
+    assert [term_text(c.head) for c in s.db.clauses_for(("len", 2), Atom("[]"))] == [
+        "len([],0)"]
+
+
+def test_a_keyed_compound_call_reads_its_functors_clauses_without_a_key():
+    s = solver_for("p(f(X), 1). p(a, 2). p(f(b), 3). p(g(X), 4). p(Y, 5).\n")
+    assert ids(s, "p(f(b), I)") == [1, 3, 5]
+    assert ids(s, "p(f(c), I)") == [1, 5]  # no list of its own
+    assert ids(s, "p(g(c), I)") == [4, 5]
+    assert ids(s, "p(a, I)") == [2, 5]
+    assert ids(s, "p(f(Z), I)") == [1, 3, 5]
+
+
 FIRST_ARGS = ["a", "b", "'1'", "1", "2", "a-1", "a-'1'", "f(a, 1)", "[]",
               "f(g(a))", "a-f(1)", "X", "f(X)", "a-X"]
 STEPS = st.tuples(
@@ -434,3 +476,65 @@ def test_indexed_database_matches_a_list_of_live_facts(steps):
             assert term_text(got["L"]) == "[%s]" % ",".join(str(i) for _, i in hits)
             live = [f for f in live if f not in hits]
         assert ids(s, "p(%s, I)" % query) == [i for f, i in live if unifiable(query, (f, i))]
+
+
+# --- compiled clauses: head matching and the inline if-then-else ---
+
+
+def _terms(var_names):
+    leaves = st.sampled_from(["a", "b", "0", "1", "[]"] + var_names)
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.builds("f({})".format, inner),
+        st.builds("f({}, {})".format, inner, inner),
+        st.builds("g({}, {})".format, inner, inner),
+        st.builds("[{}|{}]".format, inner, inner),
+        st.builds("[{}, {}]".format, inner, inner)), max_leaves=8)
+
+
+def _arg_lists(var_names, n):
+    return st.lists(_terms(var_names), min_size=n, max_size=n).map(", ".join)
+
+
+HEAD_AND_GOAL = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    _arg_lists(["A", "B", "C"], n), _arg_lists(["X", "Y", "Z"], n)))
+
+
+def _finite_text(t, limit: int = 10_000):
+    """term_text of `t`, or None when unification without an occurs check
+    made it cyclic (its walk passes `limit` subterms)."""
+    todo = [t]
+    while todo:
+        limit -= 1
+        if limit < 0:
+            return None
+        x = deref(todo.pop())
+        if isinstance(x, Struct):
+            todo.extend(x.args)
+    return term_text(t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(HEAD_AND_GOAL)
+@example(("a, f(A)", "a, f(X, Y)"))  # past the first argument: no index filter
+@example(("A, g(A, [A|B])", "f(X), g(Y, [f(Z)|Y])"))
+def test_head_matching_binds_the_goal_as_unification_does(head_and_goal):
+    head, goal = head_and_goal
+    answer = "v(X, Y, Z)"
+    # the oracle: unify the goal with a renamed copy of the head
+    query = parse_term("p(%s) = p(%s), R = %s" % (goal, head, answer))
+    s = Solver(Database())
+    ok = s.unify(query.args[0].args[0], query.args[0].args[1])
+    expected = _finite_text(query.args[1].args[1]) if ok else None
+    assume(not ok or expected is not None)
+    got = first_answer("p(%s).\n" % head, "p(%s), R = %s" % (goal, answer))
+    assert (got and term_text(got["R"])) == expected
+
+
+def test_condition_nested_5000_deep_succeeds():
+    # ( ( ... ( X = a -> true ; fail ) ... -> true ; fail ) -> true ; fail )
+    x = Var("X")
+    goal = Struct("=", (x, Atom("a")))
+    for _ in range(5000):
+        goal = Struct(";", (Struct("->", (goal, Atom("true"))), Atom("fail")))
+    got = Solver(Database()).solve_first(goal)
+    assert got is not None and term_text(got["X"]) == "a"

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logicnode.auth import full_mesh_keystore
-from logicnode.engine import EngineError
+from logicnode.engine import EngineError, SolveLimits
 from logicnode.reader import MAX_DEPTH, parse_program, parse_term, serialize
 from logicnode.runtime import NodeConfig
 from logicnode.sim import SimNetwork
@@ -341,6 +341,39 @@ def test_unexpected_exception_is_an_internal_error():
     assert node.metrics.internal_errors == 1
     assert node.dispatch(Envelope("x", b"ok"))[0] == "success"
     assert net.holds("n1", "fine")
+
+
+COUNT_SRC = """
+:- event go/0, boom/0.
+count_to(N, N).
+count_to(I, N) :- I < N, J is I + 1, count_to(J, N).
+go :- count_to(0, 100).
+boom :- X = a, explode(X).
+"""
+
+
+def _explode(solver, args):
+    return 1 // 0
+
+
+def test_the_step_budget_is_per_dispatch_on_one_solver():
+    _, probe = make_net(COUNT_SRC)
+    assert probe.dispatch(Envelope("x", b"go"))[0] == "success"
+    steps = probe.solver.steps
+    _, node = make_net(COUNT_SRC, limits=SolveLimits(max_steps=steps * 10 // 6))
+    solver = node.solver
+    for _ in range(2):  # each uses 60% of the budget
+        assert node.dispatch(Envelope("x", b"go"))[0] == "success"
+        assert node.solver is solver and solver.steps == steps
+
+
+def test_the_trail_is_empty_after_a_handler_error():
+    _, node = make_net(COUNT_SRC, limits=SolveLimits(max_steps=50),
+                       extra_builtins={("explode", 1): _explode})
+    assert node.dispatch(Envelope("x", b"go"))[0] == "error:step_limit"
+    assert node.solver.trail == []
+    assert node.dispatch(Envelope("x", b"boom"))[0] == "error:internal"
+    assert node.solver.trail == []
 
 
 def test_dump_facts():

@@ -1,12 +1,13 @@
 import socket
 import threading
 import time
+from collections import deque
 
 import pytest
 
 from logicnode.reader import parse_program, parse_term, serialize
 from logicnode.runtime import NodeConfig, start_node
-from logicnode.tcp import TcpTransport, split_hostport
+from logicnode.tcp import INBOX_LIMIT, TcpTransport, split_hostport
 from logicnode.wire import Envelope, StreamDecoder, encode_envelope
 
 from test_runtime import DEEP_SRC, HOSTILE_PAYLOADS
@@ -232,6 +233,50 @@ def test_node_serves_pings_after_dumping_a_deeply_nested_fact():
         assert wait_for(lambda: node.metrics.delivered == 2)
         assert node.dump_facts("seen", 1) == "seen(after)"
     finally:
+        transport.stop()
+
+
+SPIN_SRC = COUNT_SRC + """
+:- event spin/0.
+count_to(N, N).
+count_to(I, N) :- I < N, J is I + 1, count_to(J, N).
+spin :- count_to(0, 50000).
+"""
+
+
+class _PeakDeque(deque):
+    def __init__(self):
+        super().__init__()
+        self.peak = 0
+
+    def append(self, item):
+        super().append(item)
+        self.peak = max(self.peak, len(self))
+
+
+def test_flooding_peers_cannot_grow_the_inbox_past_the_bound():
+    addr, node, transport, _ = start_server(SPIN_SRC)
+    inbox = transport._inbox = _PeakDeque()  # the loop is idle in select
+    frame = ping_frame("0")
+    per_read = 65536 // len(frame)  # the most frames one read can add
+    burst = frame * (per_read // 2)
+    conns = [socket.create_connection(split_hostport(addr), timeout=5) for _ in range(8)]
+    try:
+        for c in conns:
+            c.sendall(frame)
+        assert wait_for(lambda: node.metrics.delivered == len(conns))
+        # while the node spins, every connection queues a burst; then they
+        # are all ready at once
+        conns[0].sendall(encode_envelope(Envelope("tester", b"spin")))
+        time.sleep(0.05)
+        for c in conns:
+            c.sendall(burst)
+        total = len(conns) * (1 + per_read // 2) + 1  # the spin too
+        assert wait_for(lambda: node.metrics.delivered == total, timeout=60)
+        assert inbox.peak <= INBOX_LIMIT + per_read, inbox.peak
+    finally:
+        for c in conns:
+            c.close()
         transport.stop()
 
 
