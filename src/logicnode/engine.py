@@ -161,17 +161,22 @@ class Database:
         bucket.append(clause)
         self._index_add(ind, clause)
 
-    def retract(self, ind, clause: Clause) -> None:
-        """Remove one stored clause of `ind` from the list and its index."""
-        self.preds[ind].remove(clause)
+    def retract(self, ind, clause: Clause) -> bool:
+        """Remove one stored clause of `ind` from the list and its index;
+        False if it was no longer stored."""
+        try:
+            self.preds[ind].remove(clause)
+        except ValueError:
+            return False
         index = self._index.get(ind)
         if index is None:
-            return
+            return True
         key = _clause_key(clause)
         for bucket in _lists_holding(index, key):
             bucket.remove(clause)
         if key is not None and len(index[key]) == len(_fallback(index, key)):
             del index[key]  # no clause with this key is left
+        return True
 
     def facts(self, name: str, arity: int) -> list:
         """Ground snapshot of the facts stored under name/arity."""
@@ -750,15 +755,13 @@ def _bi_retract(s, args):
         return
     if not s.db.is_dynamic(ind):
         raise EngineError("permission", "retract on static predicate %s/%d" % ind)
-    live = s.db.preds[ind]
     for clause in list(candidates):
-        if not any(c is clause for c in live):
-            continue  # retracted since this call began
         m = s.mark()
         nslots, heads, body = _rename(clause)
         slots = [None] * nslots
-        if s._match(heads, targs, slots) and s._match((body,), (template.body,), slots):
-            s.db.retract(ind, clause)
+        # a clause retracted since this call began is no longer stored
+        if (s._match(heads, targs, slots) and s._match((body,), (template.body,), slots)
+                and s.db.retract(ind, clause)):
             yield
         s.undo(m)
 

@@ -5,6 +5,12 @@ usual operators, `%` line comments, quoted atoms, bracket lists.  The wire
 form is deterministic canonical text: every compound except lists is written
 functionally, atoms are quoted unless they look like plain identifiers and
 variables are renamed `_G1`, `_G2`, ... in order of first appearance.
+The same reader parses program text and every payload a node receives.
+
+`tokenize` turns text into plain tuples (kind, text, offset, compound) and
+the parser reads them by index.  Tokens carry only their offset into the
+text; the line and column in a `ReaderError` are worked out from it when
+the error is raised.
 
 Two limits keep any input, program text or a peer's payload, from reaching
 the interpreter's own limits: a term may nest at most `MAX_DEPTH` levels of
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from .terms import Atom, EMPTY_LIST, Int, Struct, Term, Var, deref, list_parts
 
@@ -62,121 +68,93 @@ PREFIX_OPS = {
 MAX_DEPTH = 200  # the shipped programs nest at most 13 levels
 MAX_INT_DIGITS = 19
 
-_SYMBOL_CHARS = set("+-*/\\^<>=~:.?@#&$")
-_SOLO = {"!", ";"}
 _NAME_RE = re.compile(r"[a-zA-Z0-9_]*")
+_DIGITS_RE = re.compile(r"\d+")  # \d is str.isdecimal: `int` reads them all
+_SYMBOLS_RE = re.compile(r"[-+*/\\^<>=~:.?@#&$]+")
+_QUOTED_RUN_RE = re.compile(r"[^'\\]*")
 _PLAIN_ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
+_ESCAPES = {"\\": "\\", "'": "'", "n": "\n", "t": "\t"}
 
-# token kinds: atom var int punct end eof
-@dataclass
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-    compound: bool = False  # atom immediately followed by '('
-    value: int = 0
+
+def _error(text: str, offset: int, message: str) -> ReaderError:
+    """A `ReaderError` at the line and column of `offset` in `text`."""
+    line = text.count("\n", 0, offset) + 1
+    return ReaderError(message, line, offset - text.rfind("\n", 0, offset))
 
 
 def tokenize(text: str) -> list:
+    """The tokens of `text`, each a tuple (kind, text, offset, compound).
+
+    Kinds: atom var int punct end eof.  `compound` is true for an atom
+    immediately followed by '('; an int token keeps its digits as text.
+    """
     toks = []
-    i, line, col = 0, 1, 1
+    append = toks.append
+    i = 0
     n = len(text)
-
-    def adv(k):
-        nonlocal i, line, col
-        for c in text[i:i + k]:
-            if c == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-        i += k
-
     while i < n:
         c = text[i]
         if c in " \t\r\n":
-            adv(1)
-            continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                adv(1)
-            continue
-        tl, tc = line, col
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j - i > MAX_INT_DIGITS:
-                raise ReaderError("integer literal longer than %d digits"
-                                  % MAX_INT_DIGITS, tl, tc)
-            toks.append(Token("int", text[i:j], tl, tc, value=int(text[i:j])))
-            adv(j - i)
-            continue
-        if c == "_" or c.isalpha():
-            m = _NAME_RE.match(text, i + 1)
-            j = m.end()
-            word = text[i:j]
-            adv(j - i)
+            i += 1
+        elif c == "%":
+            i = text.find("\n", i)
+            if i < 0:
+                i = n
+        elif c in "()[]|,":
+            append(("punct", c, i, False))
+            i += 1
+        elif c == "_" or c.isalpha():
+            j = _NAME_RE.match(text, i + 1).end()
             if c == "_" or c.isupper():
-                toks.append(Token("var", word, tl, tc))
+                append(("var", text[i:j], i, False))
             else:
-                toks.append(Token("atom", word, tl, tc,
-                                  compound=(i < n and text[i] == "(")))
-            continue
-        if c == "'":
-            buf = []
+                append(("atom", text[i:j], i, text.startswith("(", j)))
+            i = j
+        elif c.isdecimal():
+            j = _DIGITS_RE.match(text, i).end()
+            if j - i > MAX_INT_DIGITS:
+                raise _error(text, i, "integer literal longer than %d digits"
+                             % MAX_INT_DIGITS)
+            append(("int", text[i:j], i, False))
+            i = j
+        elif c == "'":
+            parts = []
             j = i + 1
             while True:
-                if j >= n:
-                    raise ReaderError("unterminated quoted atom", tl, tc)
-                ch = text[j]
-                if ch == "\\":
-                    if j + 1 >= n:
-                        raise ReaderError("dangling escape", tl, tc)
-                    esc = text[j + 1]
-                    rep = {"\\": "\\", "'": "'", "n": "\n", "t": "\t"}.get(esc)
-                    if rep is None:
-                        raise ReaderError("unknown escape \\%s" % esc, tl, tc)
-                    buf.append(rep)
-                    j += 2
-                    continue
-                if ch == "'":
-                    j += 1
+                k = _QUOTED_RUN_RE.match(text, j).end()
+                parts.append(text[j:k])
+                if k >= n:
+                    raise _error(text, i, "unterminated quoted atom")
+                if text[k] == "'":
                     break
-                buf.append(ch)
-                j += 1
-            adv(j - i)
-            toks.append(Token("atom", "".join(buf), tl, tc,
-                              compound=(i < n and text[i] == "(")))
-            continue
-        if c in "()[]|,":
-            toks.append(Token("punct", c, tl, tc))
-            adv(1)
-            continue
-        if c in _SOLO:
-            toks.append(Token("atom", c, tl, tc, compound=(i + 1 < n and text[i + 1] == "(")))
-            adv(1)
-            continue
-        if c in _SYMBOL_CHARS:
-            j = i
-            while j < n and text[j] in _SYMBOL_CHARS:
-                j += 1
-            sym = text[i:j]
+                if k + 1 >= n:
+                    raise _error(text, i, "dangling escape")
+                rep = _ESCAPES.get(text[k + 1])
+                if rep is None:
+                    raise _error(text, i, "unknown escape \\%s" % text[k + 1])
+                parts.append(rep)
+                j = k + 2
+            append(("atom", "".join(parts), i, text.startswith("(", k + 1)))
+            i = k + 1
+        elif c == "!" or c == ";":
+            append(("atom", c, i, text.startswith("(", i + 1)))
+            i += 1
+        else:
+            m = _SYMBOLS_RE.match(text, i)
+            if m is None:
+                raise _error(text, i, "unexpected character %r" % c)
+            j = m.end()
             # a '.' that ends a clause: bare dot followed by layout or EOF
-            if sym[0] == "." and (sym == "." and (j >= n or text[j] in " \t\r\n%")):
-                toks.append(Token("end", ".", tl, tc))
-                adv(1)
-                continue
-            toks.append(Token("atom", sym, tl, tc, compound=(j < n and text[j] == "(")))
-            adv(j - i)
-            continue
-        raise ReaderError("unexpected character %r" % c, tl, tc)
-    toks.append(Token("eof", "", line, col))
+            if j == i + 1 and c == "." and (j >= n or text[j] in " \t\r\n%"):
+                append(("end", ".", i, False))
+            else:
+                append(("atom", text[i:j], i, text.startswith("(", j)))
+            i = j
+    append(("eof", "", n, False))
     return toks
 
 
-@dataclass
+@dataclass(eq=False)
 class Clause:
     head: Term
     body: Term
@@ -195,30 +173,34 @@ class Program:
 
 
 class _Parser:
-    def __init__(self, tokens: list):
-        self.toks = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = tokenize(text)
         self.pos = 0
         self.vars: dict = {}
         self.depth = 0  # nesting of the term being read, see `parse`
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.toks[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> tuple:
         t = self.toks[self.pos]
         self.pos += 1
         return t
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
+    def at_punct(self, char: str) -> bool:
+        kind, text, _, _ = self.toks[self.pos]
+        return kind == "punct" and text == char
+
+    def expect(self, kind: str, text: Optional[str] = None) -> tuple:
         t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
-            raise ReaderError("expected %s, got %r" % (text or kind, t.text or t.kind),
-                              t.line, t.col)
+        if t[0] != kind or (text is not None and t[1] != text):
+            self.err("expected %s, got %r" % (text or kind, t[1] or t[0]))
         return self.next()
 
-    def err(self, msg: str):
-        t = self.peek()
-        raise ReaderError(msg, t.line, t.col)
+    def err(self, msg: str, tok: Optional[tuple] = None):
+        """Raise at `tok`, by default the next token."""
+        raise _error(self.text, (tok or self.peek())[2], msg)
 
     def getvar(self, name: str) -> Var:
         if name == "_":
@@ -241,15 +223,11 @@ class _Parser:
         self.depth += 1
         left, leftp = self.primary(maxp)
         while True:
-            t = self.peek()
-            name = None
-            if t.kind == "atom":
-                name = t.text
-            elif t.kind == "punct" and t.text == ",":
-                name = ","
-            if name is None or name not in INFIX_OPS:
+            name = self.peek()[1]  # only an atom or ',' has an operator's text
+            op = INFIX_OPS.get(name)
+            if op is None:
                 break
-            p, typ = INFIX_OPS[name]
+            p, typ = op
             if p > maxp:
                 break
             la = p if typ == "yfx" else p - 1
@@ -265,65 +243,64 @@ class _Parser:
         return left
 
     def primary(self, maxp: int):
-        t = self.peek()
-        if t.kind == "int":
+        kind, text, _, compound = self.peek()
+        if kind == "int":
             self.next()
-            return Int(t.value), 0
-        if t.kind == "var":
+            return Int(int(text)), 0
+        if kind == "var":
             self.next()
-            return self.getvar(t.text), 0
-        if t.kind == "punct":
-            if t.text == "(":
+            return self.getvar(text), 0
+        if kind == "punct":
+            if text == "(":
                 self.next()
                 inner = self.parse(1200)
                 self.expect("punct", ")")
                 return inner, 0
-            if t.text == "[":
+            if text == "[":
                 self.next()
                 return self.parse_list(), 0
-            self.err("unexpected %r" % t.text)
-        if t.kind == "atom":
+            self.err("unexpected %r" % text)
+        if kind == "atom":
             self.next()
-            if t.compound:
-                self.expect("punct", "(")
+            if compound:
+                self.next()  # the '('
                 args = [self.parse(999)]
-                while self.peek().kind == "punct" and self.peek().text == ",":
+                while self.at_punct(","):
                     self.next()
                     args.append(self.parse(999))
                 self.expect("punct", ")")
-                return Struct(t.text, tuple(args)), 0
-            if t.text in PREFIX_OPS and self.starts_term():
-                p, typ = PREFIX_OPS[t.text]
+                return Struct(text, tuple(args)), 0
+            if text in PREFIX_OPS and self.starts_term():
+                p, typ = PREFIX_OPS[text]
                 if p <= maxp:
-                    if t.text == "-" and self.peek().kind == "int":
-                        v = self.next()
-                        return Int(-v.value), 0
+                    if text == "-" and self.peek()[0] == "int":
+                        return Int(-int(self.next()[1])), 0
                     arg = self.parse(p if typ == "fy" else p - 1)
-                    return Struct(t.text, (arg,)), p
-            return Atom(t.text), 0
-        self.err("unexpected end of input" if t.kind == "eof" else "unexpected token")
+                    return Struct(text, (arg,)), p
+            return Atom(text), 0
+        self.err("unexpected end of input" if kind == "eof" else "unexpected token")
 
     def starts_term(self) -> bool:
-        t = self.peek()
-        if t.kind in ("int", "var"):
+        kind, text, _, compound = self.peek()
+        if kind == "int" or kind == "var":
             return True
-        if t.kind == "punct" and t.text in "([":
-            return True
-        if t.kind == "atom":
+        if kind == "punct":
+            return text in "(["
+        if kind == "atom":
             # an infix-only operator cannot start an operand
-            return t.text not in INFIX_OPS or t.text in PREFIX_OPS or t.compound
+            return text not in INFIX_OPS or text in PREFIX_OPS or compound
         return False
 
     def parse_list(self) -> Term:
-        if self.peek().kind == "punct" and self.peek().text == "]":
+        if self.at_punct("]"):
             self.next()
             return EMPTY_LIST
         items = [self.parse(999)]
-        while self.peek().kind == "punct" and self.peek().text == ",":
+        while self.at_punct(","):
             self.next()
             items.append(self.parse(999))
         tail: Term = EMPTY_LIST
-        if self.peek().kind == "punct" and self.peek().text == "|":
+        if self.at_punct("|"):
             self.next()
             tail = self.parse(999)
         self.expect("punct", "]")
@@ -355,17 +332,17 @@ class _Parser:
     def parse_clause_or_directive(self):
         self.vars = {}
         t = self.peek()
-        if t.kind == "atom" and t.text == ":-" and not t.compound:
+        if t[0] == "atom" and t[1] == ":-" and not t[3]:
             nxt = self.toks[self.pos + 1]
-            if (nxt.kind == "atom" and not nxt.compound
-                    and self.toks[self.pos + 2].kind in ("atom", "var", "int")):
+            if (nxt[0] == "atom" and not nxt[3]
+                    and self.toks[self.pos + 2][0] in ("atom", "var", "int")):
                 # keyword-style directive: `:- dynamic p/1, q/2.`
                 self.next()
-                kw = self.next().text
+                kw = self.next()[1]
                 spec = self.parse(1150)
                 self.expect("end")
                 if kw not in ("event", "alarm", "dynamic"):
-                    raise ReaderError("unknown directive %r" % kw, t.line, t.col)
+                    self.err("unknown directive %r" % kw, t)
                 return Directive(kw, self.parse_indicator_list(spec))
         term = self.parse(1200)
         self.expect("end")
@@ -373,27 +350,25 @@ class _Parser:
         if isinstance(term, Struct) and term.name == ":-" and len(term.args) == 1:
             body = deref(term.args[0])
             if isinstance(body, Struct) and body.name in ("event", "alarm", "dynamic"):
-                specs = body.args[0] if len(body.args) == 1 else None
-                if specs is None:
-                    raise ReaderError("malformed directive", t.line, t.col)
-                return Directive(body.name, self.parse_indicator_list(specs))
+                if len(body.args) != 1:
+                    self.err("malformed directive", t)
+                return Directive(body.name, self.parse_indicator_list(body.args[0]))
             name = body.name if isinstance(body, (Atom, Struct)) else "?"
-            raise ReaderError("unknown directive %r" % name, t.line, t.col)
+            self.err("unknown directive %r" % name, t)
         if isinstance(term, Struct) and term.name == ":-" and len(term.args) == 2:
             head, body = term.args
-            head = deref(head)
-            if not isinstance(head, (Atom, Struct)):
-                raise ReaderError("clause head must be callable", t.line, t.col)
-            return Clause(head, body)
+            if not isinstance(deref(head), (Atom, Struct)):
+                self.err("clause head must be callable", t)
+            return Clause(deref(head), body)
         if not isinstance(term, (Atom, Struct)):
-            raise ReaderError("clause must be callable", t.line, t.col)
+            self.err("clause must be callable", t)
         return Clause(term, Atom("true"))
 
 
 def parse_program(text: str) -> Program:
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     prog = Program()
-    while p.peek().kind != "eof":
+    while p.peek()[0] != "eof":
         item = p.parse_clause_or_directive()
         if isinstance(item, Directive):
             prog.directives.append(item)
@@ -403,11 +378,11 @@ def parse_program(text: str) -> Program:
 
 
 def parse_term(text: str) -> Term:
-    p = _Parser(tokenize(text))
+    p = _Parser(text)
     t = p.parse(1200)
-    if p.peek().kind == "end":
+    if p.peek()[0] == "end":
         p.next()
-    if p.peek().kind != "eof":
+    if p.peek()[0] != "eof":
         p.err("trailing text after term")
     return t
 

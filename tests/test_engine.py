@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -377,6 +379,27 @@ def test_retract_while_a_call_iterates_the_same_bucket():
         parse_term("retract(p(k, I)), retract(p(k, 2))"))]
     assert got == [1]
     assert ids(s, "p(k, I)") == []
+
+
+def _best_retract_last_s(n: int) -> float:
+    """Best of three: seconds for `retract(p(_, N))` on the last of n facts."""
+    best = float("inf")
+    for _ in range(3):
+        s = solver_for(":- dynamic p/2.\n")
+        for i in range(n):
+            s.db.assert_clause(Clause(Struct("p", (Int(i), Int(i))), Atom("true")))
+        goal = parse_term("retract(p(_, %d))" % (n - 1))
+        t0 = time.perf_counter()
+        assert s.solve_first(goal) is not None
+        best = min(best, time.perf_counter() - t0)
+        assert len(s.db.preds[("p", 2)]) == n - 1
+    return best
+
+
+def test_retract_is_linear_in_the_position_of_its_match():
+    # 8x the facts is about 8x the time when linear; 24x leaves margin
+    small, large = _best_retract_last_s(2_000), _best_retract_last_s(16_000)
+    assert large < 24 * small, (small, large)
 
 
 def test_integer_and_quoted_atom_get_different_keys():

@@ -1,5 +1,6 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from logicnode.reader import (
     MAX_DEPTH, MAX_INT_DIGITS, Program, ReaderError, deserialize, parse_program,
@@ -117,6 +118,36 @@ def test_parse_errors_carry_position():
     with pytest.raises(ReaderError) as e:
         parse_program("p(a.\n")
     assert e.value.line == 1
+    with pytest.raises(ReaderError) as e:
+        parse_program("p(a).\n% note\nq(b) :-\n\t r(c) ) .\n")
+    assert (e.value.line, e.value.col) == (4, 8)
+    assert str(e.value).endswith("(line 4, column 8)")
+    with pytest.raises(ReaderError) as e:
+        parse_term("f(a,\n  'open")
+    assert (e.value.line, e.value.col) == (2, 3)
+    with pytest.raises(ReaderError) as e:
+        parse_term("f(a")
+    assert (e.value.message, e.value.line, e.value.col) == ("expected ), got 'eof'", 1, 4)
+
+
+def test_only_decimal_digits_make_an_integer():
+    with pytest.raises(ReaderError, match="unexpected character '²'"):
+        parse_term("f(²)")
+    with pytest.raises(ReaderError, match="unexpected character '²'"):
+        parse_term("1²")
+    assert term_text(parse_term("f(١٢)")) == "f(12)"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(max_size=40))
+@example("f(²)")
+@example("p :- X is ①.")
+def test_any_text_reads_or_is_a_reader_error(text):
+    for read in (parse_term, parse_program):
+        try:
+            read(text)
+        except ReaderError:
+            pass
 
 
 def test_trailing_text_rejected():

@@ -27,6 +27,7 @@ HOSTILE_PAYLOADS = {
     "nested": b"ping(c, " + b"f(" * 2000 + b"a" + b")" * 2000 + b")",
     "commas": b"ping(c, (a" + b",a" * 2000 + b"))",
     "digits": b"ping(c, " + b"9" * 5000 + b")",
+    "superscript_digit": "ping(c, ²)".encode(),
 }
 
 
@@ -258,7 +259,7 @@ def test_hostile_payload_is_a_decode_error(name):
     assert node.metrics.decode_errors == 1
 
 
-_TERM_CHARS = "pingf(a),[]|+-*/\\ '0123456789_XY;:=<>.!"
+_TERM_CHARS = "pingf(a),[]|+-*/\\ '0123456789_XY;:=<>.!é²١"
 
 
 @settings(max_examples=300, deadline=None)
