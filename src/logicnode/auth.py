@@ -1,9 +1,9 @@
 """Pairwise-symmetric message authentication and the digest utility.
 
 Keys are shared per unordered node pair and loaded from a static key file
-(`nodeA nodeB hex-key` per line).  MACs cover sender bytes followed by
-payload bytes with HMAC-SHA256, algorithm id 1 on the wire; a MAC that
-names any other algorithm does not verify.
+(`nodeA nodeB hex-key` per line).  A MAC is the HMAC-SHA256 of sender bytes
+followed by payload bytes, as plain bytes; frames carry it under algorithm
+id 1, and a frame that names any other algorithm decodes as unsigned.
 """
 
 from __future__ import annotations
@@ -13,21 +13,10 @@ import hmac
 import os
 from typing import Optional
 
-ALG_HMAC_SHA256 = 1
+ALG_HMAC_SHA256 = 1  # the algorithm id a signed frame carries
 
 class AuthError(Exception):
     pass
-
-
-class Mac:
-    __slots__ = ("algorithm", "data")
-
-    def __init__(self, algorithm: int, data: bytes):
-        self.algorithm = algorithm
-        self.data = data
-
-    def __repr__(self):
-        return "Mac(alg=%d, %s)" % (self.algorithm, self.data.hex())
 
 
 class KeyStore:
@@ -44,26 +33,22 @@ class KeyStore:
     def key_for(self, a: str, b: str) -> Optional[bytes]:
         return self._keys.get(frozenset((a, b)))
 
-    def has_key(self, a: str, b: str) -> bool:
-        return frozenset((a, b)) in self._keys
-
     def sign(self, sender: str, receiver: str, sender_bytes: bytes,
-             payload: bytes) -> Mac:
+             payload: bytes) -> bytes:
         key = self.key_for(sender, receiver)
         if key is None:
             raise AuthError("no key for pair (%s, %s)" % (sender, receiver))
         self.sign_calls += 1
-        mac = hmac.new(key, sender_bytes + payload, "sha256").digest()
-        return Mac(ALG_HMAC_SHA256, mac)
+        return hmac.new(key, sender_bytes + payload, "sha256").digest()
 
     def verify(self, claimed_sender: str, receiver: str, sender_bytes: bytes,
-               payload: bytes, mac: Mac) -> bool:
+               payload: bytes, mac: bytes) -> bool:
         self.verify_calls += 1
         key = self.key_for(claimed_sender, receiver)
-        if key is None or mac.algorithm != ALG_HMAC_SHA256:
+        if key is None:
             return False
         expect = hmac.new(key, sender_bytes + payload, "sha256").digest()
-        return hmac.compare_digest(expect, mac.data)
+        return hmac.compare_digest(expect, mac)
 
 
 def digest(payload: bytes) -> bytes:

@@ -44,6 +44,15 @@ def _load_facts(path: str):
     return parse_program(Path(path).read_text(encoding="utf-8")).clauses
 
 
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["schema", CSV_SCHEMA])
+        w.writerow(header)
+        for row in rows:
+            w.writerow(row)
+
+
 # --- run ---
 
 
@@ -97,12 +106,8 @@ def cmd_sim(args) -> int:
     if args.trace:
         report.net.write_trace(args.trace)
     if args.metrics:
-        with open(args.metrics, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["schema", CSV_SCHEMA])
-            w.writerow(["counter", "value"])
-            for k in sorted(report.metrics):
-                w.writerow([k, report.metrics[k]])
+        _write_csv(args.metrics, ["counter", "value"],
+                   [(k, report.metrics[k]) for k in sorted(report.metrics)])
     for line in report.failures:
         print("FAIL %s" % line)
     if report.failures:
@@ -161,15 +166,6 @@ def cmd_bench(args) -> int:
 # --- chord experiment ---
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["schema", CSV_SCHEMA])
-        w.writerow(header)
-        for row in rows:
-            w.writerow(row)
-
-
 def cmd_experiment_chord(args) -> int:
     from .protocols import chord
     if args.nodes < 2:
@@ -177,10 +173,7 @@ def cmd_experiment_chord(args) -> int:
         return EXIT_USAGE
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    sim = chord.ChordSim(seed=args.seed)
-    sim.build(args.nodes)
-    sim.quiesce()
-    results = sim.run_lookup_batch(args.lookups)
+    results = chord.static_experiment(args.nodes, args.lookups, seed=args.seed).results
     answered = [r for r in results if r.answered]
     lat = sorted(r.latency_ms for r in answered if r.latency_ms is not None)
     cdf = [(v, (i + 1) / len(lat)) for i, v in enumerate(lat)]

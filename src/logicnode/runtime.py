@@ -3,7 +3,9 @@
 A node owns a clause database and is driven entirely by envelopes handed to
 `dispatch` by its transport.  Handlers run as first-solution queries; the
 answer is discarded, side effects stay, and failures or errors never stop
-the node.  Signature checks are lazy and cached per handler.
+the node.  Signature checks are lazy and cached per handler.  `dispatch`
+returns the term it read, not its text: a node writes only the messages it
+sends, and the simulator alone writes a received term out, for its trace.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Optional
 from .auth import KeyStore, digest_int
 from .engine import BUILTINS, Database, EngineError, SolveLimits, Solver
 from .reader import Clause, Program, ReaderError, deserialize, serialize, term_text
-from .terms import Atom, Int, Term, copy_term, deref, indicator
+from .terms import Atom, Int, Term, deref, indicator
 from .wire import Envelope
 
 log = logging.getLogger("logicnode.runtime")
@@ -59,14 +61,6 @@ class Metrics:
         return dict(self.__dict__)
 
 
-class _HandlerContext:
-    __slots__ = ("envelope", "state")
-
-    def __init__(self, envelope: Envelope):
-        self.envelope = envelope
-        self.state = "unchecked"  # unchecked | valid | invalid
-
-
 class Node:
     """A running node."""
 
@@ -79,8 +73,10 @@ class Node:
         for fact in config.facts:
             self.db.add_clause(fact)
         self.metrics = Metrics()
-        self._ctx: Optional[_HandlerContext] = None
-        self._sends_in_dispatch = 0
+        # the envelope whose handler runs, and whether its MAC verified
+        # (None: not checked yet)
+        self._envelope: Optional[Envelope] = None
+        self._verdict: Optional[bool] = None
         # one table for every call: the node's builtins, then the
         # configured ones, then the engine's, which take precedence
         self.builtins = {
@@ -102,53 +98,54 @@ class Node:
     # --- dispatch ---
 
     def dispatch(self, envelope: Envelope):
-        """Evaluate one envelope; returns (outcome, term_text, sends).
+        """Evaluate one envelope; returns (outcome, term, sends).
 
-        No exception escapes: one that neither the reader nor the engine
-        raises on purpose is counted in `Metrics.internal_errors`, logged
-        and reported as outcome `error:internal`.
+        `term` is the term read from the payload, None when the payload did
+        not decode.  No exception escapes: one that neither the reader nor
+        the engine raises on purpose is counted in
+        `Metrics.internal_errors`, logged and reported as outcome
+        `error:internal` with term None.
         """
-        self._sends_in_dispatch = 0
+        sends = self.metrics.sends
         try:
-            return self._evaluate(envelope)
+            outcome, term = self._evaluate(envelope)
+            return outcome, term, self.metrics.sends - sends
         except Exception:
             self.metrics.internal_errors += 1
             log.exception("%s: internal error in dispatch", self.address)
-            return "error:internal", "", self._sends_in_dispatch
+            return "error:internal", None, self.metrics.sends - sends
         finally:
-            self._ctx = None
+            self._envelope = self._verdict = None
 
     def _evaluate(self, envelope: Envelope):
         try:
             term = deserialize(envelope.payload)
         except ReaderError:
             self.metrics.decode_errors += 1
-            return "decode_error", "", 0
+            return "decode_error", None
         ind = indicator(term)
-        text = term_text(term)
         if ind is None:
             self.metrics.discarded += 1
-            return "discarded", text, 0
+            return "discarded", term
         allowed = ind in self.db.events
         if envelope.origin == "alarm":
             allowed = allowed or ind in self.db.alarms
         if not allowed:
             self.metrics.discarded += 1
-            return "discarded", text, 0
+            return "discarded", term
         self.metrics.delivered += 1
-        self._ctx = _HandlerContext(envelope)
+        self._envelope = envelope
         self.solver.steps = 0  # the budget is per dispatch; solve_first empties the trail
         try:
             if self.solver.solve_first(term) is not None:
-                outcome = "success"
-            else:
-                outcome = "failure"
-                self.metrics.handler_failures += 1
+                return "success", term
+            self.metrics.handler_failures += 1
+            return "failure", term
         except EngineError as e:
-            outcome = "error:%s" % e.kind
             self.metrics.handler_errors += 1
-            log.warning("%s: handler %s aborted: %s", self.address, text, e)
-        return outcome, text, self._sends_in_dispatch
+            log.warning("%s: handler %s aborted: %s", self.address,
+                        envelope.payload.decode("utf-8"), e)
+            return "error:%s" % e.kind, term
 
     def dump_facts(self, name: str, arity: int) -> str:
         lines = [term_text(t) for t in self.db.facts(name, arity)]
@@ -156,30 +153,25 @@ class Node:
 
     # --- send machinery ---
 
-    def _resolve_address(self, t: Term) -> str:
-        t = deref(t)
-        if isinstance(t, Atom):
-            return t.name
-        raise EngineError("type", "destination address must be a ground atom")
-
-    def _transmit(self, dest: str, message: Term, signed: bool) -> bool:
-        payload = serialize(message)
+    def _transmit(self, dest: Term, payload: bytes, signed: bool) -> bool:
+        dest = deref(dest)
+        if not isinstance(dest, Atom):
+            raise EngineError("type", "destination address must be a ground atom")
+        to = dest.name
         mac = None
         if signed:
             ks = self.config.keystore
-            if ks is None or not ks.has_key(self.address, dest):
-                raise EngineError("auth", "no key for destination %s" % dest)
-            mac = ks.sign(self.address, dest, self.address.encode("utf-8"), payload)
-        env = Envelope(self.address, payload, mac, "network")
+            if ks is None or ks.key_for(self.address, to) is None:
+                raise EngineError("auth", "no key for destination %s" % to)
+            mac = ks.sign(self.address, to, self.address.encode("utf-8"), payload)
         try:
-            self.transport.send(self.address, dest, env)
+            self.transport.send(self.address, to, Envelope(self.address, payload, mac))
         except LinkError as e:
             policy = self.config.policy
             if policy == "throw":
                 raise EngineError("send", str(e))
             return policy == "ignore"
         self.metrics.sends += 1
-        self._sends_in_dispatch += 1
         return True
 
     # --- builtins: fn(solver, args) -> bool ---
@@ -188,20 +180,15 @@ class Node:
         return solver.unify(args[0], Atom(self.address))
 
     def _bi_send(self, solver, args, signed):
-        dest = self._resolve_address(args[0])
-        return self._transmit(dest, deref(args[1]), signed)
+        return self._transmit(args[0], serialize(args[1]), signed)
 
     def _bi_sendall(self, solver, args, signed):
-        destv, generator, message = args
-        pairs = []
-        for _ in solver.solutions(generator):
-            mapping: dict = {}
-            pairs.append((copy_term(destv, mapping), copy_term(message, mapping)))
-        for dest_t, msg_t in pairs:
-            dest = self._resolve_address(dest_t)
-            if not self._transmit(dest, msg_t, signed):
-                return False
-        return True
+        # every solution's destination and payload, taken before the first
+        # send; a destination is checked only when its message is sent
+        dest, generator, message = args
+        messages = [(deref(dest), serialize(message))
+                    for _ in solver.solutions(generator)]
+        return all(self._transmit(d, payload, signed) for d, payload in messages)
 
     def _bi_alarm(self, solver, args):
         msg = deref(args[0])
@@ -215,33 +202,29 @@ class Node:
     # --- signature checks ---
 
     def _verified(self) -> bool:
-        ctx = self._ctx
-        if ctx is None:
+        env = self._envelope
+        if env is None:
             raise EngineError("context", "signature check outside a handler")
-        if ctx.state == "unchecked":
-            env = ctx.envelope
+        if self._verdict is None:
             ks = self.config.keystore
-            if env.mac is None or env.origin == "alarm" or ks is None:
-                ctx.state = "invalid"
-            else:
-                ok = ks.verify(env.sender, self.address,
-                               env.sender.encode("utf-8"), env.payload, env.mac)
-                ctx.state = "valid" if ok else "invalid"
-        return ctx.state == "valid"
+            self._verdict = (env.mac is not None and ks is not None and ks.verify(
+                env.sender, self.address, env.sender.encode("utf-8"),
+                env.payload, env.mac))
+        return self._verdict
 
     def _bi_signed(self, solver, args):
         return self._verified()
 
     def _bi_signed_by1(self, solver, args):
         return (self._verified()
-                and solver.unify(args[0], Atom(self._ctx.envelope.sender)))
+                and solver.unify(args[0], Atom(self._envelope.sender)))
 
     def _bi_signed_by2(self, solver, args):
         if not self._verified():
             return False
-        env = self._ctx.envelope
+        env = self._envelope
         return (solver.unify(args[0], Atom(env.sender))
-                and solver.unify(args[1], Atom(env.mac.data.hex())))
+                and solver.unify(args[1], Atom(env.mac.hex())))
 
     def _bi_digest_id(self, solver, args):
         value = digest_int(serialize(deref(args[0])))

@@ -2,8 +2,9 @@
 
 Events (message deliveries, alarm firings, injected envelopes) live in one
 priority queue ordered by (due time, enqueue sequence); processing an event
-dispatches it on the destination node and appends one trace record.  Same
-seed and scenario always give a byte-identical trace.
+dispatches it on the destination node and appends one trace record, which
+holds the canonical text of the term the node read.  Same seed and scenario
+always give a byte-identical trace.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .engine import Solver
-from .reader import parse_term, serialize
+from .reader import parse_term, serialize, term_text
 from .runtime import LinkError, Node, NodeConfig
 from .terms import Term
 from .wire import Envelope, FrameError, decode_frame, encode_envelope
@@ -122,9 +123,6 @@ class SimNetwork:
     def schedule_alarm(self, address: str, delay_ms: float, env: Envelope) -> None:
         heapq.heappush(self._heap, (self.clock + delay_ms, next(self._seq), address, env))
 
-    def now(self, address: str = "") -> float:
-        return self.clock
-
     # --- driving ---
 
     def add_node(self, config: NodeConfig) -> Node:
@@ -163,7 +161,8 @@ class SimNetwork:
             self.dead_dropped += 1
             rec = TraceRecord(due, seq, to, env.origin, "", "dead", 0)
         else:
-            outcome, text, sends = node.dispatch(env)
+            outcome, term, sends = node.dispatch(env)
+            text = "" if term is None else term_text(term)
             rec = TraceRecord(due, seq, to, env.origin, text, outcome, sends)
         self.trace.append(rec)
         return rec

@@ -6,7 +6,7 @@ ready sockets through each connection's `StreamDecoder` into one inbox, which
 also takes sends to the node itself and `$dump` requests, dispatches the
 inbox in order and fires due alarms between envelopes, so handlers run one at
 a time.  A connection whose framing breaks (a frame over
-`wire.MAX_FRAME_BYTES` included) is dropped; one beyond `max_connections` is
+`wire.MAX_FRAME_BYTES` included) is dropped; one beyond `MAX_CONNECTIONS` is
 closed at once.  Outbound connections are cached until they break (one
 reconnect attempt) or the cache is full (oldest idle evicted).  They are
 non-blocking: while a peer's window is full, `send` reads inbound frames into
@@ -40,6 +40,8 @@ from .wire import Envelope, FrameError, StreamDecoder, encode_envelope
 DUMP_FUNCTOR = "$dump"
 POLL_S = 0.2  # longest wait in select, so that stop() is seen promptly
 INBOX_LIMIT = 1024  # envelopes; pingpong keeps at most 128 in flight
+MAX_CONNECTIONS = 4096  # inbound connections, and cached outbound ones
+CONNECT_TIMEOUT_S = 5.0  # for a connect, and for the reply to a $dump
 
 
 def split_hostport(address: str) -> Tuple[str, int]:
@@ -49,12 +51,13 @@ def split_hostport(address: str) -> Tuple[str, int]:
     return host, int(port)
 
 
+def _now_ms() -> float:
+    return time.monotonic() * 1000.0
+
+
 class TcpTransport:
-    def __init__(self, bind_address: str, max_connections: int = 4096,
-                 connect_timeout: float = 5.0):
+    def __init__(self, bind_address: str):
         self.bind_address = bind_address
-        self.max_connections = max_connections
-        self.connect_timeout = connect_timeout
         self._node: Optional[Node] = None
         self._inbox: deque = deque()  # (envelope, connection of a $dump or None)
         self._alarms: list = []  # heap of (due ms, seq, envelope)
@@ -83,11 +86,8 @@ class TcpTransport:
                             % (address, self.bind_address))
         self._node = node
 
-    def now(self, address: str = "") -> float:
-        return time.monotonic() * 1000.0
-
     def schedule_alarm(self, address: str, delay_ms: float, env: Envelope) -> None:
-        heapq.heappush(self._alarms, (self.now() + delay_ms, next(self._alarm_seq), env))
+        heapq.heappush(self._alarms, (_now_ms() + delay_ms, next(self._alarm_seq), env))
 
     def send(self, frm: str, to: str, env: Envelope) -> None:
         if to == self.bind_address:
@@ -128,12 +128,12 @@ class TcpTransport:
             return entry[0]
         try:
             sock = socket.create_connection(split_hostport(peer),
-                                            timeout=self.connect_timeout)
+                                            timeout=CONNECT_TIMEOUT_S)
         except OSError as e:
             raise LinkError("cannot connect to %s: %s" % (peer, e))
         sock.setblocking(False)
         self.connections_opened += 1
-        if len(self._conns) >= self.max_connections:
+        if len(self._conns) >= MAX_CONNECTIONS:
             self._evict(min(self._conns, key=lambda p: self._conns[p][1]))
         self._conns[peer] = (sock, time.monotonic())
         return sock
@@ -160,7 +160,7 @@ class TcpTransport:
             conn, _ = self._listener.accept()
         except OSError:
             return
-        if self._inbound >= self.max_connections:
+        if self._inbound >= MAX_CONNECTIONS:
             conn.close()
             return
         conn.setblocking(False)
@@ -194,7 +194,7 @@ class TcpTransport:
             while not self._stop.is_set():
                 timeout = 0.0 if self._inbox else POLL_S
                 if self._alarms:
-                    timeout = min(timeout, max(0.0, (self._alarms[0][0] - self.now()) / 1000.0))
+                    timeout = min(timeout, max(0.0, (self._alarms[0][0] - _now_ms()) / 1000.0))
                 if deadline is not None:
                     timeout = min(timeout, max(0.0, deadline - time.monotonic()))
                 self._poll(timeout)
@@ -215,7 +215,7 @@ class TcpTransport:
                 self._close()
 
     def _fire_due_alarms(self) -> None:
-        while self._alarms and self._alarms[0][0] <= self.now():
+        while self._alarms and self._alarms[0][0] <= _now_ms():
             self._node.dispatch(heapq.heappop(self._alarms)[2])
 
     def _reply_dump(self, env: Envelope, conn: socket.socket) -> None:
@@ -233,7 +233,7 @@ class TcpTransport:
             return
         listing = self._node.dump_facts(name.name, arity.value).encode("utf-8")
         try:
-            conn.settimeout(self.connect_timeout)  # the loop waits that long at most
+            conn.settimeout(CONNECT_TIMEOUT_S)  # the loop waits that long at most
             conn.sendall(encode_envelope(Envelope(self.bind_address, listing)))
             conn.setblocking(False)
         except OSError:

@@ -3,9 +3,11 @@
 Layout: 4-byte big-endian length of everything that follows, then 1 byte of
 flags (bit 0: signed), 2-byte big-endian sender length, sender UTF-8; if
 signed, 1 byte algorithm id, 2-byte big-endian MAC length, MAC bytes; the
-remaining bytes are the payload.  The simulator's fault injector mutates
-encoded frames, so decode errors here are a normal, counted event.  A
-stream may not announce a frame longer than `MAX_FRAME_BYTES`.
+remaining bytes are the payload.  The algorithm id is always 1
+(HMAC-SHA256); a frame that names another algorithm decodes as unsigned,
+so every signature check on it fails.  The simulator's fault injector
+mutates encoded frames, so decode errors here are a normal, counted event.
+A stream may not announce a frame longer than `MAX_FRAME_BYTES`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .auth import Mac
+from .auth import ALG_HMAC_SHA256
 
 FLAG_SIGNED = 0x01
 MAX_FRAME_BYTES = 16 * 1024 * 1024  # largest length a stream may announce
@@ -32,7 +34,7 @@ class FrameError(Exception):
 class Envelope:
     sender: str
     payload: bytes
-    mac: Optional[Mac] = None
+    mac: Optional[bytes] = None
     origin: str = "network"  # network | alarm
 
 
@@ -41,7 +43,7 @@ def encode_envelope(env: Envelope) -> bytes:
     flags = FLAG_SIGNED if env.mac is not None else 0
     body = bytes([flags]) + struct.pack(">H", len(sender)) + sender
     if env.mac is not None:
-        body += bytes([env.mac.algorithm]) + struct.pack(">H", len(env.mac.data)) + env.mac.data
+        body += bytes([ALG_HMAC_SHA256]) + struct.pack(">H", len(env.mac)) + env.mac
     body += env.payload
     return struct.pack(">I", len(body)) + body
 
@@ -68,7 +70,8 @@ def decode_body(body: bytes) -> Envelope:
         pos += 3
         if len(body) < pos + mlen:
             raise FrameError("truncated MAC")
-        mac = Mac(alg, body[pos:pos + mlen])
+        if alg == ALG_HMAC_SHA256:
+            mac = body[pos:pos + mlen]
         pos += mlen
     return Envelope(sender, body[pos:], mac, "network")
 

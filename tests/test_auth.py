@@ -60,23 +60,15 @@ def test_every_single_bit_flip_is_rejected():
 def test_mac_bit_flip_is_rejected():
     ks = two_party_store()
     mac = ks.sign("a", "b", b"a", b"x")
-    for i in range(len(mac.data) * 8):
-        bad = bytearray(mac.data)
+    for i in range(len(mac) * 8):
+        bad = bytearray(mac)
         bad[i // 8] ^= 1 << (i % 8)
-        mac2 = type(mac)(mac.algorithm, bytes(bad))
-        assert not ks.verify("a", "b", b"a", b"x", mac2)
+        assert not ks.verify("a", "b", b"a", b"x", bytes(bad))
 
 
 def test_sign_without_key_raises():
     with pytest.raises(AuthError):
         KeyStore().sign("a", "b", b"a", b"x")
-
-
-def test_unknown_algorithm_rejected():
-    ks = two_party_store()
-    mac = ks.sign("a", "b", b"a", b"x")
-    mac.algorithm = 9
-    assert not ks.verify("a", "b", b"a", b"x", mac)
 
 
 def test_key_file_round_trip(tmp_path):

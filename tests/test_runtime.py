@@ -2,12 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logicnode import reader, runtime
 from logicnode.auth import full_mesh_keystore
 from logicnode.engine import EngineError, SolveLimits
 from logicnode.reader import MAX_DEPTH, parse_program, parse_term, serialize
 from logicnode.runtime import NodeConfig
 from logicnode.sim import SimNetwork
-from logicnode.wire import Envelope, FrameError, StreamDecoder, encode_envelope
+from logicnode.wire import (
+    Envelope, FrameError, StreamDecoder, decode_frame, encode_envelope)
 
 
 ECHO_SRC = """
@@ -75,6 +77,28 @@ def test_self_send_goes_through_the_network():
     net.run_to_idle()
     assert net.holds("n1", "seen(self)")
     assert node.metrics.sends == 1
+
+
+def test_a_dispatch_writes_only_its_reply_as_text(monkeypatch):
+    calls = []
+
+    def counted(t, names=None, _orig=reader.term_text):
+        calls.append(t)
+        return _orig(t, names)
+
+    monkeypatch.setattr(reader, "term_text", counted)
+    monkeypatch.setattr(runtime, "term_text", counted)
+    net, node = make_net()
+    assert node.dispatch(Envelope("x", b"poke"))[::2] == ("success", 1)
+    assert len(calls) == 1
+
+
+def test_the_trace_shows_the_canonical_text_of_a_payload():
+    net, node = make_net()
+    net.inject(0, "n1", Envelope("x", b"ping( 'a' )"))
+    net.run_to_idle()
+    assert net.trace_lines()[0] == (
+        "t=0 seq=0 node=n1 origin=network term=ping(a) outcome=success sends=0")
 
 
 def test_handler_failure_keeps_side_effects():
@@ -174,6 +198,24 @@ got(X) :- assert(got_fact(X)).
     assert not net.holds("b", "got_fact(_)")
 
 
+def test_sendall_checks_each_destination_when_it_sends():
+    src = """
+:- event go/0, m/1.
+d(b). d(c). d(_).
+go :- sendall(D, d(D), m(D)).
+m(_).
+"""
+    net = SimNetwork(seed=1)
+    for addr in ("n1", "b", "c"):
+        net.add_node(NodeConfig(addr, parse_program(src)))
+    net.inject_term(0, "n1", parse_term("go"))
+    net.run_to_idle()
+    assert [(r.node, r.term, r.outcome, r.sends) for r in net.trace] == [
+        ("n1", "go", "error:type", 2),
+        ("b", "m(b)", "success", 0),
+        ("c", "m(c)", "success", 0)]
+
+
 def test_signed_send_and_lazy_verification():
     src = """
 :- event hello/1.
@@ -208,6 +250,29 @@ hello(X) :- assert(anon(X)).
     net.run_to_idle()
     assert not net.holds("n1", "greeted(_)")
     assert net.holds("n1", "anon(x)")
+
+
+def test_frame_naming_another_algorithm_is_unsigned():
+    src = """
+:- event hello/0.
+:- dynamic n/1.
+hello :- signed, assert(n(signed)).
+hello :- assert(n(unsigned)).
+"""
+    ks = full_mesh_keystore(["n1", "a"], seed=b"t")
+    payload = b"hello"
+    frame = bytearray(encode_envelope(
+        Envelope("a", payload, ks.sign("a", "n1", b"a", payload))))
+    assert frame[8] == 1  # after length, flags, sender length and sender "a"
+    frame[8] = 9
+    env, _ = decode_frame(bytes(frame))
+    assert env.payload == payload
+    net, node = make_net(src, keystore=ks)
+    assert node.dispatch(env)[0] == "success"
+    assert node.dump_facts("n", 1) == "n(unsigned)"
+    frame[8] = 1  # the same MAC under algorithm 1 verifies
+    assert node.dispatch(decode_frame(bytes(frame))[0])[0] == "success"
+    assert node.dump_facts("n", 1) == "n(unsigned)\nn(signed)"
 
 
 def test_signature_verified_once_per_handler():
@@ -338,7 +403,7 @@ def test_unexpected_exception_is_an_internal_error():
 
     src = ":- event go/0, ok/0.\n:- dynamic fine/0.\ngo :- explode.\nok :- assert(fine).\n"
     net, node = make_net(src, extra_builtins={("explode", 0): explode})
-    assert node.dispatch(Envelope("x", b"go")) == ("error:internal", "", 0)
+    assert node.dispatch(Envelope("x", b"go")) == ("error:internal", None, 0)
     assert node.metrics.internal_errors == 1
     assert node.dispatch(Envelope("x", b"ok"))[0] == "success"
     assert net.holds("n1", "fine")

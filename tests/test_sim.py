@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from logicnode.reader import parse_program, parse_term
@@ -146,3 +151,21 @@ def test_metrics_aggregate():
     m = net.metrics()
     assert m["delivered"] == 3
     assert m["sends"] == 2
+
+
+# what scripts/trace_digest.py prints; a change that alters a trace on
+# purpose updates these lines and says why
+PINNED_TRACES = """\
+chord_16_seed3_200_lookups f1257ce453e93450a974a5d42c6cbced00289d6ab3bdd7a80828703302ce6af3 events=7686 steps=315293
+zyzzyva_batch1_40_requests c7c616a4f97ef3dfb1eb52b4832d6c996908c54900e0f2c111b6938480768abf events=400 steps=5600
+zyzzyva_batch4_40_requests 3e766157ba8de99a1be7b099a84b46dba20d971863999ad34c3e0c812d110fb2 events=280 steps=4100
+spanning_tree_60_seed5 4c015d3e26190057df95e0e86da8cafdffba3a1f827912a2776a832ce39c4583 events=423 steps=2837
+"""
+
+
+def test_simulator_traces_match_the_pinned_digests():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run([sys.executable, str(root / "scripts" / "trace_digest.py")],
+                         env=env, capture_output=True, text=True, timeout=300, check=True)
+    assert out.stdout == PINNED_TRACES

@@ -5,6 +5,7 @@ from collections import deque
 
 import pytest
 
+from logicnode import tcp
 from logicnode.reader import parse_program, parse_term, serialize
 from logicnode.runtime import NodeConfig, start_node
 from logicnode.tcp import INBOX_LIMIT, TcpTransport, split_hostport
@@ -40,9 +41,9 @@ def server():
     transport.stop()
 
 
-def start_server(src: str = COUNT_SRC, **transport_args):
+def start_server(src: str = COUNT_SRC):
     addr = fresh_addr()
-    transport = TcpTransport(addr, **transport_args)
+    transport = TcpTransport(addr)
     node = start_node(NodeConfig(addr, parse_program(src)), transport)
     return addr, node, transport, transport.start()
 
@@ -307,8 +308,9 @@ def test_stalled_connection_does_not_delay_others(server):
         assert wait_for(lambda: node.metrics.delivered == 11)
 
 
-def test_connections_past_the_limit_are_closed():
-    addr, node, transport, _ = start_server(max_connections=2)
+def test_connections_past_the_limit_are_closed(monkeypatch):
+    monkeypatch.setattr(tcp, "MAX_CONNECTIONS", 2)
+    addr, node, transport, _ = start_server()
     first, second = (socket.create_connection(split_hostport(addr), timeout=5)
                      for _ in range(2))
     try:
