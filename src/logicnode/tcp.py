@@ -9,22 +9,34 @@ a time.  A connection whose framing breaks (a frame over
 `wire.MAX_FRAME_BYTES` included) is dropped; one beyond `MAX_CONNECTIONS` is
 closed at once.  Outbound connections are cached until they break (one
 reconnect attempt) or the cache is full (oldest idle evicted).  They are
-non-blocking: while a peer's window is full, `send` reads inbound frames into
-the inbox without dispatching them, so flooding nodes both make progress.
-Otherwise the loop reads no connection while the inbox holds `INBOX_LIMIT`
-envelopes, so the inbox holds at most that many plus those of one read
-(64 KiB) however fast peers send; it reads again once the inbox drains.
+non-blocking: while a peer's window is full, a write reads inbound frames
+into the inbox without dispatching them, so flooding nodes both make
+progress.  Otherwise the loop reads no connection while the inbox holds
+`INBOX_LIMIT` envelopes, so the inbox holds at most that many plus those of
+one read (`CHUNK_BYTES`) however fast peers send; it reads again once the
+inbox drains.
+
+One pass of the loop fires the due alarms and dispatches the inbox batch.
+During a pass, `send` opens or reuses the peer's connection, so an
+unreachable peer still fails the handler's send, but it only queues the
+frame; after the pass each peer's frames go out in one write, and at once
+when a peer's queue reaches `CHUNK_BYTES`.  So under load a reply waits for
+the rest of its batch.  A queued write that fails is retried once on a new
+connection with the frames the old socket did not take whole; if that fails
+too, they are dropped and logged.
 
 Handlers call `send` and `schedule_alarm` on the loop thread.  `stop` may be
 called from any thread; the loop then closes every socket within `POLL_S`.
-Tests also call `send` (small sends, while the loop sends nothing) and
-`schedule_alarm` (it may fire up to `POLL_S` late) from their own thread.
+Tests also call `send` (small sends, written at once, while the loop sends
+nothing) and `schedule_alarm` (it may fire up to `POLL_S` late) from their
+own thread.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import logging
 import selectors
 import socket
 import threading
@@ -37,9 +49,12 @@ from .terms import Atom, Int, Struct, deref
 from .reader import ReaderError, deserialize
 from .wire import Envelope, FrameError, StreamDecoder, encode_envelope
 
+log = logging.getLogger("logicnode.tcp")
+
 DUMP_FUNCTOR = "$dump"
 POLL_S = 0.2  # longest wait in select, so that stop() is seen promptly
 INBOX_LIMIT = 1024  # envelopes; pingpong keeps at most 128 in flight
+CHUNK_BYTES = 65536  # one read, and the most queued for a peer before a write
 MAX_CONNECTIONS = 4096  # inbound connections, and cached outbound ones
 CONNECT_TIMEOUT_S = 5.0  # for a connect, and for the reply to a $dump
 
@@ -63,9 +78,10 @@ class TcpTransport:
         self._alarms: list = []  # heap of (due ms, seq, envelope)
         self._alarm_seq = itertools.count()
         self._conns: dict = {}  # peer -> (socket, last_used)
+        self._queued: dict = {}  # peer -> [bytes, frames] sent during this pass
         self._inbound = 0
         self._stop = threading.Event()
-        self._running = False
+        self._loop_thread: Optional[int] = None  # ident, while run() runs
         try:
             self._listener = socket.create_server(split_hostport(bind_address),
                                                   backlog=128)
@@ -94,30 +110,65 @@ class TcpTransport:
             self._inbox.append((env, None))
             return
         frame = encode_envelope(env)
+        if threading.get_ident() != self._loop_thread:
+            self._write(to, [frame])
+            return
+        self._connection(to)  # raises LinkError now if the peer is unreachable
+        queued = self._queued.setdefault(to, [0, []])
+        queued[0] += len(frame)
+        queued[1].append(frame)
+        if queued[0] >= CHUNK_BYTES:
+            self._flush(to)
+
+    def _flush(self, peer: str) -> None:
+        """Write the frames queued for peer; if that fails, drop and log them."""
+        frames = self._queued.pop(peer)[1]
         try:
-            self._sendall(self._connection(to), frame)
-        except OSError:
-            self._evict(to)
+            self._write(peer, frames)
+        except LinkError as e:
+            log.warning("%s: dropped %d frames to %s: %s",
+                        self.bind_address, len(frames), peer, e)
+
+    def _write(self, peer: str, frames: list) -> None:
+        """Write frames to peer in one go, with one reconnect attempt.
+
+        A failed write removes from `frames` those the socket took whole,
+        so the retry sends no frame twice, and what is left when LinkError
+        is raised was not sent."""
+        for retry in (False, True):
+            sock = self._connection(peer)
             try:
-                self._sendall(self._connection(to), frame)  # one reconnect attempt
+                self._sendall(sock, b"".join(frames))
+                return
             except OSError as e:
-                self._evict(to)
-                raise LinkError("send to %s failed: %s" % (to, e))
+                self._evict(peer)
+                sent, taken = e.sent, 0
+                while taken < len(frames) and sent >= len(frames[taken]):
+                    sent -= len(frames[taken])
+                    taken += 1
+                del frames[:taken]
+                if retry:
+                    raise LinkError("send to %s failed: %s" % (peer, e))
 
     def _sendall(self, sock: socket.socket, data: bytes) -> None:
-        """Write all of data, reading inbound frames while the peer is full."""
+        """Write all of data, reading inbound frames while the peer is full.
+        An OSError it raises holds in `sent` how many bytes the socket took."""
         view = memoryview(data)
-        while view:
-            try:
-                view = view[sock.send(view):]
-            except BlockingIOError:
-                if self._stop.is_set():
-                    raise OSError("transport stopped")
-                self._sel.register(sock, selectors.EVENT_WRITE)
+        try:
+            while view:
                 try:
-                    self._poll(POLL_S, bounded=False)
-                finally:
-                    self._sel.unregister(sock)
+                    view = view[sock.send(view):]
+                except BlockingIOError:
+                    if self._stop.is_set():
+                        raise OSError("transport stopped")
+                    self._sel.register(sock, selectors.EVENT_WRITE)
+                    try:
+                        self._poll(POLL_S, bounded=False)
+                    finally:
+                        self._sel.unregister(sock)
+        except OSError as e:
+            e.sent = len(data) - len(view)
+            raise
 
     # --- connection cache ---
 
@@ -169,7 +220,7 @@ class TcpTransport:
 
     def _read(self, conn: socket.socket, decoder: StreamDecoder) -> None:
         try:
-            data = conn.recv(65536)
+            data = conn.recv(CHUNK_BYTES)
             envelopes = decoder.feed(data)
         except BlockingIOError:
             return
@@ -189,7 +240,7 @@ class TcpTransport:
     def run(self, duration: Optional[float] = None) -> None:
         """Dispatch envelopes and alarms until stop() (or duration seconds)."""
         deadline = None if duration is None else time.monotonic() + duration
-        self._running = True
+        self._loop_thread = threading.get_ident()
         try:
             while not self._stop.is_set():
                 timeout = 0.0 if self._inbox else POLL_S
@@ -198,19 +249,23 @@ class TcpTransport:
                 if deadline is not None:
                     timeout = min(timeout, max(0.0, deadline - time.monotonic()))
                 self._poll(timeout)
-                self._fire_due_alarms()
-                # only what is queued now, so that sends to self cannot starve reads
-                for _ in range(len(self._inbox)):
-                    env, conn = self._inbox.popleft()
-                    if conn is None:
-                        self._node.dispatch(env)
-                    else:
-                        self._reply_dump(env, conn)
+                try:
                     self._fire_due_alarms()
+                    # only what is queued now, so that sends to self cannot starve reads
+                    for _ in range(len(self._inbox)):
+                        env, conn = self._inbox.popleft()
+                        if conn is None:
+                            self._node.dispatch(env)
+                        else:
+                            self._reply_dump(env, conn)
+                        self._fire_due_alarms()
+                finally:
+                    for peer in list(self._queued):
+                        self._flush(peer)
                 if deadline is not None and time.monotonic() >= deadline:
                     return
         finally:
-            self._running = False
+            self._loop_thread = None
             if self._stop.is_set():
                 self._close()
 
@@ -246,7 +301,7 @@ class TcpTransport:
 
     def stop(self) -> None:
         self._stop.set()
-        if not self._running:
+        if self._loop_thread is None:
             self._close()
 
     def _close(self) -> None:

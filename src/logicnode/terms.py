@@ -145,16 +145,15 @@ def struct_eq(a: Term, b: Term) -> bool:
 
 def term_vars(t: Term) -> list:
     """Unbound variables of t in order of first occurrence."""
-    seen = []
+    seen = {}  # a Var hashes by identity; a dict keeps the order of insertion
     stack = [t]
     while stack:
         x = deref(stack.pop())
         if isinstance(x, Var):
-            if not any(x is v for v in seen):
-                seen.append(x)
+            seen[x] = None
         elif isinstance(x, Struct):
             stack.extend(reversed(x.args))
-    return seen
+    return list(seen)
 
 
 def copy_term(t: Term, mapping: Optional[dict] = None) -> Term:

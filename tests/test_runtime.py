@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,6 +93,24 @@ def test_a_dispatch_writes_only_its_reply_as_text(monkeypatch):
     net, node = make_net()
     assert node.dispatch(Envelope("x", b"poke"))[::2] == ("success", 1)
     assert len(calls) == 1
+
+
+def _best_dispatch_s(payload: bytes) -> float:
+    """Best of three: seconds to dispatch payload to `m(_).`"""
+    net, node = make_net(":- event m/1.\nm(_).\n")
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        assert node.dispatch(Envelope("x", payload))[0] == "success"
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def test_dispatch_is_linear_in_the_variables_of_its_message():
+    # 8x the variables is about 8x the time when linear; 24x leaves margin
+    small, large = (_best_dispatch_s(b"m([%s])" % b", ".join(b"X%d" % i for i in range(n)))
+                    for n in (2_000, 16_000))
+    assert large < 24 * small, (small, large)
 
 
 def test_the_trace_shows_the_canonical_text_of_a_payload():

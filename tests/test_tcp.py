@@ -338,3 +338,155 @@ def test_stop_closes_every_socket():
         assert not loop.is_alive()
         assert c.recv(1) == b""
     TcpTransport(addr).stop()  # the address is free again
+
+
+# --- sends during a pass are queued per peer and written after it ---
+
+PONG_SRC = """
+:- event ping/2, go/1, flood/1, later/1.
+:- alarm beep/1.
+ping(From, Pad) :- send(From, pong(Pad)).
+go(To) :- send(To, a), send(To, b), send(To, c).
+flood(To) :- pad(X), sendall(To, n(I), blob(I, X)), hold.
+later(To) :- alarm(beep(To), 20).
+beep(To) :- send(To, beeped).
+pad(%s).
+""" % ("x" * 2000) + "".join("n(%d).\n" % i for i in range(40))
+
+
+def raw_listener():
+    s = socket.create_server(("127.0.0.1", 0))
+    s.settimeout(5)
+    return s, "127.0.0.1:%d" % s.getsockname()[1]
+
+
+def read_payloads(listener, n: int) -> list:
+    """Accept one connection and read n envelopes from it; their payloads."""
+    conn, _ = listener.accept()
+    with conn:
+        conn.settimeout(5)
+        dec, got = StreamDecoder(), []
+        while len(got) < n:
+            chunk = conn.recv(65536)
+            if not chunk:
+                break
+            got += [env.payload for env in dec.feed(chunk)]
+        return got
+
+
+def test_replies_to_one_batch_leave_in_one_write(monkeypatch):
+    writes = []
+    sendall = TcpTransport._sendall
+
+    def counting(self, sock, data):
+        writes.append(len(data))
+        return sendall(self, sock, data)
+
+    monkeypatch.setattr(TcpTransport, "_sendall", counting)
+    listener, client = raw_listener()
+    addr, node, transport, _ = start_server(PONG_SRC)
+    try:
+        pings = b"".join(
+            encode_envelope(Envelope(client, b"ping('%s', %d)" % (client.encode(), i)))
+            for i in range(100))
+        send_raw(addr, pings)
+        assert read_payloads(listener, 100) == [b"pong(%d)" % i for i in range(100)]
+        assert len(writes) < 10, writes  # one write per reply before batching
+    finally:
+        listener.close()
+        transport.stop()
+
+
+def test_a_pass_that_only_fires_alarms_writes_its_sends(monkeypatch):
+    # with a long poll, a frame left queued after the alarm's pass would
+    # wait for the next select to time out
+    monkeypatch.setattr(tcp, "POLL_S", 2.0)
+    listener, peer = raw_listener()
+    addr, node, transport, _ = start_server(PONG_SRC)
+    try:
+        t0 = time.monotonic()
+        send_raw(addr, encode_envelope(Envelope("t", b"later('%s')" % peer.encode())))
+        assert read_payloads(listener, 1) == [b"beeped"]
+        assert time.monotonic() - t0 < 1.0
+    finally:
+        listener.close()
+        transport.stop()
+
+
+def test_a_handler_writes_once_a_peer_has_a_chunk_queued():
+    # 40 blobs of 2 KB pass tcp.CHUNK_BYTES; the handler then holds until
+    # the peer has read the first of them
+    released = threading.Event()
+    listener, peer = raw_listener()
+    addr = fresh_addr()
+    transport = TcpTransport(addr)
+    node = start_node(NodeConfig(addr, parse_program(PONG_SRC), extra_builtins={
+        ("hold", 0): lambda solver, args: released.wait(10)}), transport)
+    transport.start()
+    try:
+        send_raw(addr, encode_envelope(Envelope("t", b"flood('%s')" % peer.encode())))
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(3)
+            dec = StreamDecoder()
+            got = dec.feed(conn.recv(65536))  # times out if nothing is written yet
+            released.set()
+            while len(got) < 40:
+                got += dec.feed(conn.recv(65536))
+        assert [env.payload.split(b",")[0] for env in got] == [
+            b"blob(%d" % i for i in range(40)]
+    finally:
+        released.set()
+        listener.close()
+        transport.stop()
+
+
+class _BreaksAfter:
+    """A connection that takes `n` bytes, then fails every write."""
+
+    def __init__(self, n: int):
+        self.left = n
+
+    def send(self, data) -> int:
+        if not self.left:
+            raise ConnectionResetError("connection reset")
+        took = min(self.left, len(data))
+        self.left -= took
+        return took
+
+    def close(self):
+        pass
+
+
+def test_a_failed_write_resends_only_the_frames_not_taken_whole():
+    listener, peer = raw_listener()
+    addr, node, transport, _ = start_server(PONG_SRC)
+    frame_a = encode_envelope(Envelope(addr, b"a"))
+    # the loop is idle in select: the old connection takes a and part of b
+    transport._conns[peer] = (_BreaksAfter(len(frame_a) + 3), time.monotonic())
+    try:
+        send_raw(addr, encode_envelope(Envelope("t", b"go('%s')" % peer.encode())))
+        assert read_payloads(listener, 2) == [b"b", b"c"]
+        assert node.metrics.sends == 3
+    finally:
+        listener.close()
+        transport.stop()
+
+
+def test_a_write_that_fails_twice_is_logged_and_the_node_goes_on(caplog):
+    gone, peer = raw_listener()
+    gone.close()  # the reconnect is refused
+    addr, node, transport, _ = start_server(PONG_SRC)
+    transport._conns[peer] = (_BreaksAfter(0), time.monotonic())
+    listener, client = raw_listener()
+    try:
+        with caplog.at_level("WARNING", logger="logicnode.tcp"):
+            send_raw(addr, encode_envelope(Envelope("t", b"go('%s')" % peer.encode())))
+            assert wait_for(lambda: "dropped 3 frames to %s" % peer in caplog.text)
+        send_raw(addr, encode_envelope(
+            Envelope(client, b"ping('%s', 1)" % client.encode())))
+        assert read_payloads(listener, 1) == [b"pong(1)"]
+        assert node.metrics.delivered == 2
+    finally:
+        listener.close()
+        transport.stop()
