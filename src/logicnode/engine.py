@@ -1,4 +1,4 @@
-"""Depth-first resolution over a dynamic clause database.
+r"""Depth-first resolution over a dynamic clause database.
 
 `Solver.solutions` runs a goal in one loop over a goal list of linked frames
 (goal, slots, cut height, rest) and a stack of choicepoints, after Warren's
@@ -6,12 +6,14 @@ abstract machine; bindings are undone through a trail.  A cut drops the
 choicepoints made since its clause was called.  `( C -> T ; E )` and
 `( C -> T )` run in the same loop: a choicepoint keeps `E`, `C` runs with its
 cut height above that choicepoint, and a commit marker after `C` (not a step)
-drops the choicepoints back to the height before it.  A goal whose solutions
-are collected or tested (a query, `findall`, `count`, `sendall`, a negation)
-runs in a nested `solutions`, so a cut there ends only that goal's
-solutions.  Only such nesting takes Python stack: `SolveLimits` bounds logic
-recursion.  Unknown predicates fail quietly: handler programs routinely
-query predicates before the first matching assert.
+drops the choicepoints back to the height before it; `\+ G` runs as
+`( G -> fail ; true )`.  A goal whose solutions are collected (`findall`,
+`count`, `sendall`) runs above a barrier choicepoint, with its cut height
+above the barrier; a collector marker after it (not a step) records one
+solution and fails, and popping the barrier finishes the builtin.  So only
+`solve_first` and `solve_all` enter `solutions`, no goal takes Python stack,
+and `SolveLimits` alone bounds nesting.  Unknown predicates fail quietly:
+handler programs routinely query predicates before the first matching assert.
 
 Each clause is compiled once (`_rename`) into patterns over an array of
 variable slots: a slot number for a variable, the term itself for a ground
@@ -24,9 +26,12 @@ a pattern with the call's slots; `,`, `;` and `->` are taken apart there,
 and a call builds its own arguments only when it runs.  A goal that is a
 term (a query, or a variable's value) is its own pattern: it holds no slot.
 
-Builtins that succeed at most once (the tests, arithmetic, `findall`,
-`count`, `assert`, and every builtin of a `Node` or of
-`NodeConfig.extra_builtins`) are plain functions `fn(solver, args) -> bool`.
+Builtins that succeed at most once (the tests, arithmetic, `assert`, and
+the builtins of a `Node` or of `NodeConfig.extra_builtins`) are plain
+functions `fn(solver, args) -> bool`.  An all-solutions builtin (`findall`,
+`count`, `sendall`) is a tuple: the index of its goal argument,
+`record(solver, args)`, which returns one solution's note while its bindings
+hold, and `finish(solver, args, notes) -> bool`, called once they are undone.
 `member/2` and `retract/1` are generators `fn(solver, args)` that yield once
 per solution.
 
@@ -342,7 +347,8 @@ def _lists_holding(index: dict, key) -> list:
 
 
 _FAIL = object()  # stands in for a goal list: no solution, backtrack
-_COMMIT = object()  # a goal that ends an if-then-else condition
+_COMMIT = object()  # a goal that ends an if-then-else condition or a negation
+_COLLECT = object()  # a goal that records one solution of a collected goal
 
 
 class Solver:
@@ -439,8 +445,7 @@ class Solver:
     def solutions(self, goal: Term) -> Iterator[None]:
         """Yield once per solution of `goal`, its bindings in place.
 
-        The choicepoint stack is this call's own: a cut in `goal` ends its
-        solutions, not those of the caller.  When the solutions run out, by
+        A cut in `goal` ends its solutions.  When the solutions run out, by
         failure or by a cut, every binding they made is undone.
         """
         trail = self.trail
@@ -450,7 +455,8 @@ class Solver:
         # choicepoints: (trail mark, alternatives, goal list).  A predicate
         # call's alternatives are the arguments of `_try_clauses` that resume
         # it; None is one way on to the goal list (the right branch of a
-        # disjunction, an else branch); others are a generator builtin
+        # disjunction, an else branch); a list is an all-solutions barrier
+        # [record, finish, args, notes]; others are a generator builtin
         cps: list = []
         goals = (goal, None, 0, None)  # goal list: (goal, slots, cut height, rest)
         while True:
@@ -467,6 +473,8 @@ class Solver:
                     goals = rest
                 elif type(alts) is tuple:
                     goals = self._try_clauses(*alts, rest, cps)
+                elif type(alts) is list:  # a barrier: the solutions are used up
+                    goals = rest if alts[1](self, alts[2], alts[3]) else _FAIL
                 elif next(alts, _FAIL) is _FAIL:
                     goals = _FAIL
                 else:
@@ -477,6 +485,10 @@ class Solver:
             if goal is _COMMIT:
                 del cps[height:]
                 goals = rest
+                continue
+            if goal is _COLLECT:  # slots: the barrier of the goal that ran
+                slots[3].append(slots[0](self, slots[2]))
+                goals = _FAIL
                 continue
             self.steps += 1
             if self.steps > max_steps:
@@ -522,11 +534,19 @@ class Solver:
             elif arity == 2 and name == "->":
                 goals = (args[0], slots, len(cps), (_COMMIT, None, len(cps),
                                                    (args[1], slots, height, rest)))
+            elif arity == 1 and name == "\\+":
+                cps.append((len(trail), None, rest))
+                goals = (args[0], slots, len(cps), (_COMMIT, None, len(cps) - 1, _FAIL))
             else:
                 if tg is tuple:
                     args = [_build(p, slots) for p in args]
                 key = (name, arity)
                 builtin = builtins.get(key)
+                if type(builtin) is tuple:  # collect the solutions above a barrier
+                    barrier = [builtin[1], builtin[2], args, []]
+                    cps.append((len(trail), barrier, rest))
+                    goals = (args[builtin[0]], None, len(cps), (_COLLECT, barrier, 0, None))
+                    continue
                 if builtin is not None:
                     goals = rest if builtin(self, args) else _FAIL
                     continue
@@ -557,23 +577,15 @@ class Solver:
             self.undo(mark)
         return _FAIL
 
-    def first(self, goal: Term) -> bool:
-        """One committed solution; bindings are kept on success."""
-        for _ in self.solutions(goal):
-            return True
-        return False
-
     # --- public entry points ---
 
     def solve_first(self, goal: Term) -> Optional[dict]:
         qvars = [v for v in term_vars(goal) if v.name != "_"]
         m = self.mark()
         try:
-            if self.first(goal):
+            for _ in self.solutions(goal):
                 return {v.name: copy_term(v) for v in qvars}
             return None
-        except RecursionError:
-            raise EngineError("step_limit", "resolution depth exhausted") from None
         finally:
             self.undo(m)
 
@@ -583,8 +595,6 @@ class Solver:
         try:
             return [{v.name: copy_term(v) for v in qvars}
                     for _ in self.solutions(goal)]
-        except RecursionError:
-            raise EngineError("step_limit", "resolution depth exhausted") from None
         finally:
             self.undo(m)
 
@@ -684,10 +694,6 @@ def _bi_not_unifiable(s, args):
     return not ok
 
 
-def _bi_negation(s, args):
-    return not s.first(args[0])
-
-
 def _bi_is(s, args):
     return s.unify(args[0], Int(arith_eval(args[1])))
 
@@ -696,18 +702,6 @@ def _cmp(op):
     def bi(s, args):
         return op(arith_eval(args[0]), arith_eval(args[1]))
     return bi
-
-
-def _bi_findall(s, args):
-    template, goal, out = args
-    results = [copy_term(template) for _ in s.solutions(goal)]
-    return s.unify(out, mklist(results))
-
-
-def _bi_count(s, args):
-    goal, out = args
-    n = sum(1 for _ in s.solutions(goal))
-    return s.unify(out, Int(n))
 
 
 def _split_clause(t: Term) -> Clause:
@@ -773,16 +767,18 @@ BUILTINS = {
     ("=", 2): _bi_unify,
     ("==", 2): _bi_struct_eq,
     ("\\=", 2): _bi_not_unifiable,
-    ("\\+", 1): _bi_negation,
     ("is", 2): _bi_is,
     ("=:=", 2): _cmp(_op.eq),
     ("<", 2): _cmp(_op.lt),
     (">", 2): _cmp(_op.gt),
     ("=<", 2): _cmp(_op.le),
     (">=", 2): _cmp(_op.ge),
-    ("findall", 3): _bi_findall,
-    ("count", 2): _bi_count,
     ("assert", 1): _bi_assert,
+    # all solutions: (goal argument, record, finish)
+    ("findall", 3): (1, lambda s, args: copy_term(args[0]),
+                     lambda s, args, notes: s.unify(args[2], mklist(notes))),
+    ("count", 2): (0, lambda s, args: None,
+                   lambda s, args, notes: s.unify(args[1], Int(len(notes)))),
 }
 
 _GENERATORS = {

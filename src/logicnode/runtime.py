@@ -82,9 +82,9 @@ class Node:
         self.builtins = {
             ("this_node", 1): self._bi_this_node,
             ("send", 2): partial(self._bi_send, signed=False),
-            ("sendall", 3): partial(self._bi_sendall, signed=False),
+            ("sendall", 3): (1, self._message, partial(self._send_all, signed=False)),
             ("send_signed", 2): partial(self._bi_send, signed=True),
-            ("sendall_signed", 3): partial(self._bi_sendall, signed=True),
+            ("sendall_signed", 3): (1, self._message, partial(self._send_all, signed=True)),
             ("alarm", 2): self._bi_alarm,
             ("signed", 0): self._bi_signed,
             ("signed_by", 1): self._bi_signed_by1,
@@ -174,7 +174,7 @@ class Node:
         self.metrics.sends += 1
         return True
 
-    # --- builtins: fn(solver, args) -> bool ---
+    # --- builtins: fn(solver, args) -> bool, and sendall's record and finish ---
 
     def _bi_this_node(self, solver, args):
         return solver.unify(args[0], Atom(self.address))
@@ -182,12 +182,13 @@ class Node:
     def _bi_send(self, solver, args, signed):
         return self._transmit(args[0], serialize(args[1]), signed)
 
-    def _bi_sendall(self, solver, args, signed):
-        # every solution's destination and payload, taken before the first
-        # send; a destination is checked only when its message is sent
-        dest, generator, message = args
-        messages = [(deref(dest), serialize(message))
-                    for _ in solver.solutions(generator)]
+    # sendall notes each solution's destination and payload, and sends them
+    # all once the solutions are used up; a destination is checked only when
+    # its message is sent
+    def _message(self, solver, args):
+        return deref(args[0]), serialize(args[2])
+
+    def _send_all(self, solver, args, messages, signed):
         return all(self._transmit(d, payload, signed) for d, payload in messages)
 
     def _bi_alarm(self, solver, args):

@@ -71,6 +71,8 @@ def test_cut_is_clause_local():
 # A cut inside an all-solutions goal (findall, count, negation, an
 # if-then-else condition, a top-level query) ends that goal's solutions only;
 # a cut in a condition keeps the else branch and the clause's alternatives.
+# Generators and an inner findall under a findall are resumed from above its
+# barrier, and they keep their answer order.
 CUT_LOCALITY = [
     ("p(1). p(2). p(3).\n", "findall(X, (p(X), !), L)", [{"L": "[1]"}]),
     ("", "count((member(X, [a, b]), !), N)", [{"N": "1"}]),
@@ -82,6 +84,15 @@ CUT_LOCALITY = [
          "findall(Y, d(Y), Left)", [{"L": "[1]", "Left": "[2]"}]),
     ("t(R) :- ( member(X, [1, 2]), !, X > 1 -> R = yes ; R = no ).\nt(other).\n",
      "t(R)", [{"R": "no"}, {"R": "other"}]),
+    ("", "assert(d(1)), assert(d(2)), assert(d(3)), findall(X, retract(d(X)), L), "
+         "findall(Y, d(Y), Left)", [{"L": "[1,2,3]", "Left": "[]"}]),
+    ("", "findall(f(X, Y), (member(X, [1, 2]), member(Y, [a, b])), L)",
+     [{"L": "[f(1,a),f(1,b),f(2,a),f(2,b)]"}]),
+    ("", "findall(f(X, L), (member(X, [1, 2]), findall(Y, member(Y, [b, X]), L)), R)",
+     [{"R": "[f(1,[b,1]),f(2,[b,2])]"}]),
+    ("", "findall(f(X, L), (member(X, [1, 2]), findall(Y, (member(Y, [b, X]), !), L)), R)",
+     [{"R": "[f(1,[b]),f(2,[b])]"}]),
+    ("", "count((member(X, [1, 2]), \\+ (member(Y, [a, b]), !, Y = b)), N)", [{"N": "2"}]),
 ]
 
 
@@ -94,7 +105,9 @@ def test_cut_stays_local_to_an_all_solutions_goal(src, goal, expected):
 # Control constructs: a bare `->`, a cut in a then-branch, an else-branch
 # and a plain disjunct (each commits the enclosing clause), the order in
 # which a conjunction of two generators backtracks, a condition that
-# backtracks before it commits, and if-then-else called through a variable.
+# backtracks before it commits, if-then-else, findall, count and negation
+# called through a variable, and errors inside a collected goal, which leave
+# the trail empty.
 CONTROL = [
     ("", "(true -> X = a)", [{"X": "a"}]),
     ("", "(fail -> X = a)", []),
@@ -115,12 +128,26 @@ CONTROL = [
     ("", "G = (X > 0 -> R = pos ; R = neg), X = 1, G", [{"R": "pos"}]),
     ("c(G) :- G.\n", "G = (X > 0 -> R = pos ; R = neg), X = 0, c(G)", [{"R": "neg"}]),
     ("c(G) :- G.\n", "X = 2, c((X > 1 -> R = big))", [{"R": "big"}]),
+    ("p(1). p(2).\n", "G = findall(X, p(X), L), G", [{"L": "[1,2]"}]),
+    ("c(G) :- G.\np(1). p(2).\n", "c(count(p(_), N))", [{"N": "2"}]),
+    ("p(1).\n", "G = (\\+ p(2)), G, R = yes", [{"R": "yes"}]),
+    ("c(G) :- G.\np(1).\n", "c(\\+ p(1))", []),
+    ("", "findall(X, G, L)", EngineError("type", "unbound goal")),
+    ("", "findall(Y, (member(X, [1, 0]), Y is 1 // X), L)",
+     EngineError("arith", "division by zero")),
 ]
 
 
 @pytest.mark.parametrize("src, goal, expected", CONTROL)
 def test_control_constructs(src, goal, expected):
-    got = all_answers(src, goal)
+    s = solver_for(src)
+    if isinstance(expected, EngineError):
+        with pytest.raises(EngineError) as e:
+            s.solve_all(parse_term(goal))
+        assert (e.value.kind, e.value.message) == (expected.kind, expected.message)
+        assert s.trail == []
+        return
+    got = s.solve_all(parse_term(goal))
     keys = expected[0] if expected else {}
     assert [{k: term_text(a[k]) for k in keys} for a in got] == expected
 
@@ -551,6 +578,41 @@ def test_head_matching_binds_the_goal_as_unification_does(head_and_goal):
     assume(not ok or expected is not None)
     got = first_answer("p(%s).\n" % head, "p(%s), R = %s" % (goal, answer))
     assert (got and term_text(got["R"])) == expected
+
+
+# each level runs the next inside a double negation, a findall or a count
+NESTED = [
+    "d(N) :- N > 0, M is N - 1, \\+ \\+ d(M).",
+    "d(N) :- N > 0, M is N - 1, findall(N, d(M), [N]).",
+    "d(N) :- N > 0, M is N - 1, count(d(M), 1).",
+]
+
+
+@pytest.mark.parametrize("clause", NESTED)
+def test_all_solutions_goals_nested_5000_deep_succeed(clause):
+    assert first_answer("d(0).\n%s\n" % clause, "d(5000)") is not None
+
+
+# goals over one variable X: facts, member, unification, cut, `,` and `;`
+COLLECTED_GOALS = st.recursive(
+    st.sampled_from(["p(X)", "p(2)", "member(X, [3, 1])", "member(X, [])", "X = 1",
+                     "X = f(Y)", "!", "true", "fail"]),
+    lambda inner: st.one_of(st.builds("({}, {})".format, inner, inner),
+                            st.builds("({} ; {})".format, inner, inner)),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(COLLECTED_GOALS)
+@example("(member(X, [3, 1]), (!, p(X) ; X = 1))")
+def test_collected_solutions_match_the_top_level(goal):
+    src = "p(1). p(2). p(3).\n"
+    expected = [term_text(a["X"]) for a in all_answers(src, "%s, X = X" % goal)]
+    got = first_answer(src, "findall(X, %s, L), count(%s, N)" % (goal, goal))
+    items, _ = list_parts(got["L"])
+    assert [term_text(t) for t in items] == expected
+    assert got["N"].value == len(expected)
+    assert (first_answer(src, "\\+ %s" % goal) is not None) == (expected == [])
 
 
 def test_condition_nested_5000_deep_succeeds():

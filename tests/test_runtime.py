@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from logicnode import reader, runtime
 from logicnode.auth import full_mesh_keystore
-from logicnode.engine import EngineError, SolveLimits
+from logicnode.engine import EngineError, SolveLimits, Solver
 from logicnode.reader import MAX_DEPTH, parse_program, parse_term, serialize
 from logicnode.runtime import NodeConfig
 from logicnode.sim import SimNetwork
@@ -378,8 +378,8 @@ keep(X) :- assert(kept(X)), this_node(Me), send(Me, X).
 
 
 DEEP_SRC = """
-:- event deep_send/1, deep_sum/1, deep_fact/1.
-:- dynamic sum/1, deep/1.
+:- event deep_send/1, deep_sum/1, deep_fact/1, deep_fan/1, fanned/1.
+:- dynamic sum/1, deep/1, arrived/1.
 nest(0, T, T).
 nest(N, A, T) :- N > 0, M is N - 1, nest(M, f(A), T).
 plus(0, E, E).
@@ -387,12 +387,70 @@ plus(N, A, E) :- N > 0, M is N - 1, plus(M, A + 1, E).
 deep_send(N) :- nest(N, a, T), this_node(Me), send(Me, got(T)).
 deep_sum(N) :- plus(N, 0, E), S is E, assert(sum(S)).
 deep_fact(N) :- nest(N, a, T), assert(deep(T)).
+deep_fan(0) :- this_node(Me), sendall(Me, member(I, [1, 2]), fanned(I)).
+deep_fan(N) :- N > 0, M is N - 1, findall(x, deep_fan(M), [x]).
+fanned(I) :- assert(arrived(I)).
 """
 
 
 def test_handler_sends_a_term_nested_past_the_recursion_limit():
     net, node = make_net(DEEP_SRC)
     assert node.dispatch(Envelope("x", b"deep_send(5000)"))[::2] == ("success", 1)
+
+
+def test_handler_nests_sendall_in_findall_past_the_recursion_limit():
+    net, node = make_net(DEEP_SRC)
+    net.inject_term(0, "n1", parse_term("deep_fan(5000)"))
+    net.run_to_idle()
+    assert [(r.term, r.outcome, r.sends) for r in net.trace] == [
+        ("deep_fan(5000)", "success", 2), ("fanned(1)", "success", 0),
+        ("fanned(2)", "success", 0)]
+    assert node.dump_facts("arrived", 1) == "arrived(1)\narrived(2)"
+
+
+RUNAWAY_SRC = """
+:- event negation/0, collection/0, ok/0.
+:- dynamic fine/0.
+l :- \\+ l.
+m :- findall(x, m, _).
+negation :- l.
+collection :- m.
+ok :- assert(fine).
+"""
+
+
+@pytest.mark.parametrize("event", [b"negation", b"collection"])
+def test_runaway_nesting_ends_at_the_step_budget(event, caplog):
+    # 100k steps nest 50k deep, far past the interpreter's recursion limit,
+    # and hold a tenth of the memory that the default budget lets them take
+    _, node = make_net(RUNAWAY_SRC, limits=SolveLimits(max_steps=100_000))
+    assert node.dispatch(Envelope("x", event))[0] == "error:step_limit"
+    assert "resolution step budget exhausted" in caplog.text
+    assert node.solver.trail == []
+    assert node.dispatch(Envelope("x", b"ok"))[0] == "success"
+    assert node.dump_facts("fine", 0) == "fine"
+
+
+def test_a_handler_enters_the_resolution_loop_once(monkeypatch):
+    # findall, count, sendall and negation run inside the handler's loop: a
+    # builtin that opened a loop of its own would add an entry here
+    entries = []
+
+    def counted(solver, goal, _solutions=Solver.solutions):
+        entries.append(goal)
+        return _solutions(solver, goal)
+
+    monkeypatch.setattr(Solver, "solutions", counted)
+    src = """
+:- event go/0, got/1.
+p(1). p(2).
+go :- findall(X, p(X), L), count(member(_, L), 2), \\+ p(3),
+      this_node(Me), sendall(Me, p(Y), got(Y)).
+got(_).
+"""
+    net, node = make_net(src)
+    assert node.dispatch(Envelope("x", b"go"))[::2] == ("success", 2)
+    assert len(entries) == 1
 
 
 def test_handler_evaluates_an_expression_nested_past_the_recursion_limit():
