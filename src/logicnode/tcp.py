@@ -7,29 +7,25 @@ also takes sends to the node itself and `$dump` requests, dispatches the
 inbox in order and fires due alarms between envelopes, so handlers run one at
 a time.  A connection whose framing breaks (a frame over
 `wire.MAX_FRAME_BYTES` included) is dropped; one beyond `MAX_CONNECTIONS` is
-closed at once.  Outbound connections are cached until they break (one
-reconnect attempt) or the cache is full (oldest idle evicted).  They are
-non-blocking: while a peer's window is full, a write reads inbound frames
-into the inbox without dispatching them, so flooding nodes both make
-progress.  Otherwise the loop reads no connection while the inbox holds
-`INBOX_LIMIT` envelopes, so the inbox holds at most that many plus those of
-one read (`CHUNK_BYTES`) however fast peers send; it reads again once the
-inbox drains.
+closed at once.  The loop reads no connection while the inbox holds
+`INBOX_LIMIT` envelopes, so however fast peers send, the inbox holds at
+most that many plus those of one read (`CHUNK_BYTES`).
 
 One pass of the loop fires the due alarms and dispatches the inbox batch.
-During a pass, `send` opens or reuses the peer's connection, so an
-unreachable peer still fails the handler's send, but it only queues the
-frame; after the pass each peer's frames go out in one write, and at once
-when a peer's queue reaches `CHUNK_BYTES`.  So under load a reply waits for
-the rest of its batch.  A queued write that fails is retried once on a new
-connection with the frames the old socket did not take whole; if that fails
-too, they are dropped and logged.
+`send` opens or reuses the peer's cached connection (least recently used
+evicted), so an unreachable peer still fails the handler's send, but it
+only queues the frame.  After the pass, and at once when a peer's queue
+reaches `CHUNK_BYTES`, the peer's non-blocking socket takes what it can of
+its queue in one write; the loop's `select` waits for `EVENT_WRITE` for the
+rest, so no handler waits on a peer.  A failed write is retried once on a
+new connection from the first frame not taken whole; then the frames are
+dropped and logged.  When the queues of all peers pass `QUEUE_LIMIT`
+bytes, the longest is dropped with its connection, and logged.
 
-Handlers call `send` and `schedule_alarm` on the loop thread.  `stop` may be
-called from any thread; the loop then closes every socket within `POLL_S`.
-Tests also call `send` (small sends, written at once, while the loop sends
-nothing) and `schedule_alarm` (it may fire up to `POLL_S` late) from their
-own thread.
+While the loop runs only its handlers call `send`; tests also call
+`schedule_alarm` (it may fire up to `POLL_S` late) from their own thread.
+`stop` may be called from any thread: within `POLL_S` the loop drops what
+is queued, with a warning, and closes every socket.
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ from typing import Optional, Tuple
 from .runtime import LinkError, Node
 from .terms import Atom, Int, Struct, deref
 from .reader import ReaderError, deserialize
-from .wire import Envelope, FrameError, StreamDecoder, encode_envelope
+from .wire import MAX_FRAME_BYTES, Envelope, FrameError, StreamDecoder, encode_envelope
 
 log = logging.getLogger("logicnode.tcp")
 
@@ -57,6 +53,7 @@ INBOX_LIMIT = 1024  # envelopes; pingpong keeps at most 128 in flight
 CHUNK_BYTES = 65536  # one read, and the most queued for a peer before a write
 MAX_CONNECTIONS = 4096  # inbound connections, and cached outbound ones
 CONNECT_TIMEOUT_S = 5.0  # for a connect, and for the reply to a $dump
+QUEUE_LIMIT = 2 * MAX_FRAME_BYTES  # bytes queued for all peers together
 
 
 def split_hostport(address: str) -> Tuple[str, int]:
@@ -70,6 +67,17 @@ def _now_ms() -> float:
     return time.monotonic() * 1000.0
 
 
+def _frames_within(queue: bytearray, n: int) -> Tuple[int, int]:
+    """The number and the total size of the whole frames in queue[:n]."""
+    count = end = 0
+    while end < n:
+        size = 4 + int.from_bytes(queue[end:end + 4], "big")
+        if end + size > n:
+            break
+        count, end = count + 1, end + size
+    return count, end
+
+
 class TcpTransport:
     def __init__(self, bind_address: str):
         self.bind_address = bind_address
@@ -77,11 +85,12 @@ class TcpTransport:
         self._inbox: deque = deque()  # (envelope, connection of a $dump or None)
         self._alarms: list = []  # heap of (due ms, seq, envelope)
         self._alarm_seq = itertools.count()
-        self._conns: dict = {}  # peer -> (socket, last_used)
-        self._queued: dict = {}  # peer -> [bytes, frames] sent during this pass
+        self._conns: dict = {}  # peer -> socket, least recently used first
+        self._queued: dict = {}  # peer -> [bytearray of frames, bytes taken, waits]
+        self._queued_bytes = 0
         self._inbound = 0
         self._stop = threading.Event()
-        self._loop_thread: Optional[int] = None  # ident, while run() runs
+        self._running = False
         try:
             self._listener = socket.create_server(split_hostport(bind_address),
                                                   backlog=128)
@@ -110,100 +119,97 @@ class TcpTransport:
             self._inbox.append((env, None))
             return
         frame = encode_envelope(env)
-        if threading.get_ident() != self._loop_thread:
-            self._write(to, [frame])
-            return
         self._connection(to)  # raises LinkError now if the peer is unreachable
-        queued = self._queued.setdefault(to, [0, []])
-        queued[0] += len(frame)
-        queued[1].append(frame)
-        if queued[0] >= CHUNK_BYTES:
-            self._flush(to)
+        queue = self._queued.setdefault(to, [bytearray(), 0, False])[0]
+        queue += frame
+        self._queued_bytes += len(frame)
+        if len(queue) >= CHUNK_BYTES > len(queue) - len(frame):  # it just filled a chunk
+            self._pump(to)
+        while self._queued_bytes > QUEUE_LIMIT:
+            self._drop(max(self._queued, key=lambda p: len(self._queued[p][0])),
+                       "queues passed %d bytes" % QUEUE_LIMIT)
 
-    def _flush(self, peer: str) -> None:
-        """Write the frames queued for peer; if that fails, drop and log them."""
-        frames = self._queued.pop(peer)[1]
-        try:
-            self._write(peer, frames)
-        except LinkError as e:
-            log.warning("%s: dropped %d frames to %s: %s",
-                        self.bind_address, len(frames), peer, e)
-
-    def _write(self, peer: str, frames: list) -> None:
-        """Write frames to peer in one go, with one reconnect attempt.
-
-        A failed write removes from `frames` those the socket took whole,
-        so the retry sends no frame twice, and what is left when LinkError
-        is raised was not sent."""
+    def _pump(self, peer: str) -> None:
+        """Write in one send what peer's socket takes of its queue, which
+        starts at the first frame not taken whole; while some is left, the
+        socket waits for EVENT_WRITE."""
+        queued = self._queued[peer]
+        queue = queued[0]
         for retry in (False, True):
-            sock = self._connection(peer)
             try:
-                self._sendall(sock, b"".join(frames))
-                return
+                sock = self._connection(peer)
+                with memoryview(queue)[queued[1]:] as rest:
+                    queued[1] += sock.send(rest)
+                break
+            except BlockingIOError:
+                break
             except OSError as e:
                 self._evict(peer)
-                sent, taken = e.sent, 0
-                while taken < len(frames) and sent >= len(frames[taken]):
-                    sent -= len(frames[taken])
-                    taken += 1
-                del frames[:taken]
                 if retry:
-                    raise LinkError("send to %s failed: %s" % (peer, e))
+                    return self._drop(peer, e)
+            except LinkError as e:
+                return self._drop(peer, e)
+        done = queued[1]
+        taken = done if done == len(queue) else _frames_within(queue, done)[1]
+        del queue[:taken]
+        queued[1] -= taken
+        self._queued_bytes -= taken
+        if not queue:
+            del self._queued[peer]
+        if queue and not queued[2]:
+            self._sel.register(sock, selectors.EVENT_WRITE, peer)
+        elif queued[2] and not queue:
+            self._sel.unregister(sock)
+        queued[2] = bool(queue)
 
-    def _sendall(self, sock: socket.socket, data: bytes) -> None:
-        """Write all of data, reading inbound frames while the peer is full.
-        An OSError it raises holds in `sent` how many bytes the socket took."""
-        view = memoryview(data)
-        try:
-            while view:
-                try:
-                    view = view[sock.send(view):]
-                except BlockingIOError:
-                    if self._stop.is_set():
-                        raise OSError("transport stopped")
-                    self._sel.register(sock, selectors.EVENT_WRITE)
-                    try:
-                        self._poll(POLL_S, bounded=False)
-                    finally:
-                        self._sel.unregister(sock)
-        except OSError as e:
-            e.sent = len(data) - len(view)
-            raise
+    def _drop(self, peer: str, reason) -> None:
+        """Close peer's connection and drop its queued frames, with a warning."""
+        self._evict(peer)
+        queue = self._queued.pop(peer)[0]
+        self._queued_bytes -= len(queue)
+        log.warning("%s: dropped %d frames to %s: %s", self.bind_address,
+                    _frames_within(queue, len(queue))[0], peer, reason)
 
     # --- connection cache ---
 
     def _connection(self, peer: str) -> socket.socket:
-        entry = self._conns.get(peer)
-        if entry is not None:
-            self._conns[peer] = (entry[0], time.monotonic())
-            return entry[0]
-        try:
-            sock = socket.create_connection(split_hostport(peer),
-                                            timeout=CONNECT_TIMEOUT_S)
-        except OSError as e:
-            raise LinkError("cannot connect to %s: %s" % (peer, e))
-        sock.setblocking(False)
-        self.connections_opened += 1
-        if len(self._conns) >= MAX_CONNECTIONS:
-            self._evict(min(self._conns, key=lambda p: self._conns[p][1]))
-        self._conns[peer] = (sock, time.monotonic())
+        sock = self._conns.pop(peer, None)
+        if sock is None:
+            try:
+                sock = socket.create_connection(split_hostport(peer),
+                                                timeout=CONNECT_TIMEOUT_S)
+            except OSError as e:
+                raise LinkError("cannot connect to %s: %s" % (peer, e))
+            sock.setblocking(False)
+            self.connections_opened += 1
+            if len(self._conns) >= MAX_CONNECTIONS:
+                self._evict(next(iter(self._conns)))  # the least recently used
+        self._conns[peer] = sock  # the cache keeps the order of last use
         return sock
 
     def _evict(self, peer: str) -> None:
-        entry = self._conns.pop(peer, None)
-        if entry is not None:
-            entry[0].close()
+        """Close peer's connection; a new one starts at its first queued frame."""
+        sock = self._conns.pop(peer, None)
+        queued = self._queued.get(peer)
+        if queued:
+            if queued[2]:
+                self._sel.unregister(sock)
+            queued[1:] = 0, False
+        if sock is not None:
+            sock.close()
 
     # --- inbound ---
 
-    def _poll(self, timeout: float, bounded: bool = True) -> None:
-        """Accept and read whatever is ready; dispatch nothing.  When
-        `bounded`, a connection is read only while the inbox is below
-        `INBOX_LIMIT`; the others stay ready for the next poll."""
+    def _poll(self, timeout: float) -> None:
+        """Accept, read and write whatever is ready; dispatch nothing.  A
+        connection is read only while the inbox is below `INBOX_LIMIT`; the
+        others stay ready for the next poll."""
         for key, _ in self._sel.select(timeout):
             if key.fileobj is self._listener:
                 self._accept()
-            elif key.data is not None and not (bounded and len(self._inbox) >= INBOX_LIMIT):
+            elif isinstance(key.data, str):  # an outbound socket that was full
+                self._pump(key.data)
+            elif len(self._inbox) < INBOX_LIMIT:
                 self._read(key.fileobj, key.data)
 
     def _accept(self) -> None:
@@ -240,7 +246,7 @@ class TcpTransport:
     def run(self, duration: Optional[float] = None) -> None:
         """Dispatch envelopes and alarms until stop() (or duration seconds)."""
         deadline = None if duration is None else time.monotonic() + duration
-        self._loop_thread = threading.get_ident()
+        self._running = True
         try:
             while not self._stop.is_set():
                 timeout = 0.0 if self._inbox else POLL_S
@@ -261,11 +267,11 @@ class TcpTransport:
                         self._fire_due_alarms()
                 finally:
                     for peer in list(self._queued):
-                        self._flush(peer)
+                        self._pump(peer)
                 if deadline is not None and time.monotonic() >= deadline:
                     return
         finally:
-            self._loop_thread = None
+            self._running = False
             if self._stop.is_set():
                 self._close()
 
@@ -301,12 +307,14 @@ class TcpTransport:
 
     def stop(self) -> None:
         self._stop.set()
-        if self._loop_thread is None:
+        if not self._running:
             self._close()
 
     def _close(self) -> None:
+        for peer in list(self._queued):
+            self._drop(peer, "transport stopped")
+        for peer in list(self._conns):
+            self._evict(peer)
         for key in list((self._sel.get_map() or {}).values()):
             key.fileobj.close()
         self._sel.close()
-        for peer in list(self._conns):
-            self._evict(peer)

@@ -1,3 +1,4 @@
+import re
 import socket
 import threading
 import time
@@ -111,27 +112,36 @@ def test_many_frames_one_write(server):
     assert wait_for(lambda: node.metrics.delivered == 20)
 
 
-def test_outbound_connection_reuse(server):
-    addr, node, transport = server
-    peer_addr = fresh_addr()
-    peer_transport = TcpTransport(peer_addr)
-    peer = start_node(NodeConfig(peer_addr, parse_program(COUNT_SRC)), peer_transport)
-    peer_transport.start()
+FWD_SRC = COUNT_SRC + """
+:- event fwd/1.
+fwd(Peer) :- send(Peer, ping(x)).
+"""
+
+
+def test_outbound_connection_reuse():
+    # five handlers, one per pass, send to the same peer
+    addr, node, transport, _ = start_server(FWD_SRC)
+    peer_addr, peer, peer_transport, _ = start_server()
     try:
-        env = Envelope(addr, serialize(parse_term("ping(x)")))
-        for _ in range(5):
-            transport.send(addr, peer_addr, env)
-        assert wait_for(lambda: peer.metrics.delivered == 5)
+        for i in range(5):
+            send_raw(addr, encode_envelope(Envelope("t", b"fwd('%s')" % peer_addr.encode())))
+            assert wait_for(lambda: peer.metrics.delivered == i + 1)
         assert transport.connections_opened == 1
     finally:
+        transport.stop()
         peer_transport.stop()
 
 
-def test_send_to_dead_peer_raises_link_error(server):
-    _, _, transport = server
+def test_send_to_dead_peer_raises_link_error():
+    addr = fresh_addr()
+    transport = TcpTransport(addr)  # not running: the test thread may send
+    start_node(NodeConfig(addr, parse_program(COUNT_SRC)), transport)
     from logicnode.runtime import LinkError
-    with pytest.raises(LinkError):
-        transport.send("x", "127.0.0.1:1", Envelope("x", b"hi"))
+    try:
+        with pytest.raises(LinkError):
+            transport.send("x", "127.0.0.1:1", Envelope("x", b"hi"))
+    finally:
+        transport.stop()
 
 
 def test_alarm_fires_on_wall_clock(server):
@@ -198,14 +208,19 @@ pad(%s).
 
 def test_mutual_flood_delivers_everything():
     # each handler sends about 6 MB to the other, more than both sockets
-    # buffer: a node must keep reading while its own send waits
+    # buffer: the frames wait in the queues while both nodes read and write
     (a, na, ta, _), (b, nb, tb, _) = start_server(FLOOD_SRC), start_server(FLOOD_SRC)
+    inboxes = ta._inbox, tb._inbox = _PeakDeque(), _PeakDeque()  # loops idle in select
+    blob = encode_envelope(Envelope(a, serialize(parse_term("blob(%s)" % ("x" * 2000)))))
     try:
         send_raw(a, encode_envelope(Envelope("t", serialize(parse_term("go('%s')" % b)))))
         send_raw(b, encode_envelope(Envelope("t", serialize(parse_term("go('%s')" % a)))))
         assert wait_for(lambda: na.metrics.delivered == nb.metrics.delivered == 3001,
                         timeout=60), (na.metrics, nb.metrics)
         assert na.metrics.sends == nb.metrics.sends == 3000
+        per_read = 65536 // len(blob)  # the most frames one read can add
+        assert max(inbox.peak for inbox in inboxes) <= INBOX_LIMIT + per_read, (
+            [inbox.peak for inbox in inboxes])
     finally:
         ta.stop()
         tb.stop()
@@ -340,13 +355,14 @@ def test_stop_closes_every_socket():
     TcpTransport(addr).stop()  # the address is free again
 
 
-# --- sends during a pass are queued per peer and written after it ---
+# --- sends are queued per peer and written after the pass, as the socket takes them ---
 
 PONG_SRC = """
-:- event ping/2, go/1, flood/1, later/1.
+:- event ping/2, go/1, fan/3, flood/1, later/1.
 :- alarm beep/1.
 ping(From, Pad) :- send(From, pong(Pad)).
 go(To) :- send(To, a), send(To, b), send(To, c).
+fan(P, Q, R) :- send(P, x), send(Q, x), send(R, x).
 flood(To) :- pad(X), sendall(To, n(I), blob(I, X)), hold.
 later(To) :- alarm(beep(To), 20).
 beep(To) :- send(To, beeped).
@@ -361,28 +377,30 @@ def raw_listener():
 
 
 def read_payloads(listener, n: int) -> list:
-    """Accept one connection and read n envelopes from it; their payloads."""
-    conn, _ = listener.accept()
-    with conn:
-        conn.settimeout(5)
-        dec, got = StreamDecoder(), []
-        while len(got) < n:
-            chunk = conn.recv(65536)
-            if not chunk:
-                break
-            got += [env.payload for env in dec.feed(chunk)]
-        return got
+    """Accept connections in turn until n envelopes are read; their payloads."""
+    got: list = []
+    while len(got) < n:
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(5)
+            dec = StreamDecoder()
+            while len(got) < n:
+                chunk = conn.recv(65536)
+                if not chunk:
+                    break
+                got += [env.payload for env in dec.feed(chunk)]
+    return got
 
 
 def test_replies_to_one_batch_leave_in_one_write(monkeypatch):
-    writes = []
-    sendall = TcpTransport._sendall
+    writes = []  # each pump is one socket write
+    pump = TcpTransport._pump
 
-    def counting(self, sock, data):
-        writes.append(len(data))
-        return sendall(self, sock, data)
+    def counting(self, peer):
+        writes.append(len(self._queued[peer][0]))
+        return pump(self, peer)
 
-    monkeypatch.setattr(TcpTransport, "_sendall", counting)
+    monkeypatch.setattr(TcpTransport, "_pump", counting)
     listener, client = raw_listener()
     addr, node, transport, _ = start_server(PONG_SRC)
     try:
@@ -442,10 +460,15 @@ def test_a_handler_writes_once_a_peer_has_a_chunk_queued():
 
 
 class _BreaksAfter:
-    """A connection that takes `n` bytes, then fails every write."""
+    """A connection that takes `n` bytes, then fails every write.  Its
+    selector file is one end of a socket pair, which is always writable."""
 
     def __init__(self, n: int):
         self.left = n
+        self.pair = socket.socketpair()
+
+    def fileno(self) -> int:
+        return self.pair[0].fileno()
 
     def send(self, data) -> int:
         if not self.left:
@@ -455,7 +478,8 @@ class _BreaksAfter:
         return took
 
     def close(self):
-        pass
+        for s in self.pair:
+            s.close()
 
 
 def test_a_failed_write_resends_only_the_frames_not_taken_whole():
@@ -463,7 +487,7 @@ def test_a_failed_write_resends_only_the_frames_not_taken_whole():
     addr, node, transport, _ = start_server(PONG_SRC)
     frame_a = encode_envelope(Envelope(addr, b"a"))
     # the loop is idle in select: the old connection takes a and part of b
-    transport._conns[peer] = (_BreaksAfter(len(frame_a) + 3), time.monotonic())
+    transport._conns[peer] = _BreaksAfter(len(frame_a) + 3)
     try:
         send_raw(addr, encode_envelope(Envelope("t", b"go('%s')" % peer.encode())))
         assert read_payloads(listener, 2) == [b"b", b"c"]
@@ -477,7 +501,7 @@ def test_a_write_that_fails_twice_is_logged_and_the_node_goes_on(caplog):
     gone, peer = raw_listener()
     gone.close()  # the reconnect is refused
     addr, node, transport, _ = start_server(PONG_SRC)
-    transport._conns[peer] = (_BreaksAfter(0), time.monotonic())
+    transport._conns[peer] = _BreaksAfter(0)
     listener, client = raw_listener()
     try:
         with caplog.at_level("WARNING", logger="logicnode.tcp"):
@@ -490,3 +514,73 @@ def test_a_write_that_fails_twice_is_logged_and_the_node_goes_on(caplog):
     finally:
         listener.close()
         transport.stop()
+
+
+def test_outbound_cache_evicts_the_least_recently_used_peer(monkeypatch, caplog):
+    monkeypatch.setattr(tcp, "MAX_CONNECTIONS", 2)  # inbound too: one client
+    (l1, p1), (l2, p2), (l3, p3) = (raw_listener() for _ in range(3))
+    addr, node, transport, _ = start_server(PONG_SRC)
+    client = socket.create_connection(split_hostport(addr), timeout=5)
+    try:
+        with caplog.at_level("WARNING", logger="logicnode.tcp"):
+            # one send per pass, to p1, p2, p1, p3: p2 is the least recently used
+            for i, peer in enumerate([p1, p2, p1, p3]):
+                client.sendall(encode_envelope(
+                    Envelope("t", b"ping('%s', %d)" % (peer.encode(), i))))
+                assert wait_for(lambda: node.metrics.delivered == i + 1)
+            assert list(transport._conns) == [p1, p3]
+            assert transport.connections_opened == 3
+            # three sends in one pass: each evicts a peer with a queued frame
+            client.sendall(encode_envelope(Envelope("t", b"fan('%s', '%s', '%s')" % (
+                p1.encode(), p2.encode(), p3.encode()))))
+            assert read_payloads(l1, 3) == [b"pong(0)", b"pong(2)", b"x"]
+            assert read_payloads(l2, 2) == [b"pong(1)", b"x"]
+            assert read_payloads(l3, 2) == [b"pong(3)", b"x"]
+        assert "dropped" not in caplog.text
+        assert node.metrics.sends == 7
+    finally:
+        client.close()
+        for listener in (l1, l2, l3):
+            listener.close()
+        transport.stop()
+
+
+SPRAY_SRC = COUNT_SRC + """
+:- event spray/1.
+spray(To) :- pad(X), sendall(To, n(_), blob(X)).
+pad(%s).
+""" % ("x" * 2000) + "".join("n(%d).\n" % i for i in range(10000))
+
+
+def test_a_peer_that_never_reads_delays_no_other_message(monkeypatch, caplog):
+    # a handler sends about 20 MB to a sink that accepts and never reads;
+    # the queues hold at most tcp.QUEUE_LIMIT bytes and the pings that come
+    # in meanwhile are served at once
+    monkeypatch.setattr(tcp, "QUEUE_LIMIT", 256 * 1024)
+    sink = socket.socket()
+    sink.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sink.bind(("127.0.0.1", 0))
+    sink.listen(1024)  # the kernel accepts every connection; nothing reads
+    sink_addr = "127.0.0.1:%d" % sink.getsockname()[1]
+    peaks = []
+    send = TcpTransport.send
+
+    def recording(self, frm, to, env):
+        send(self, frm, to, env)
+        peaks.append(self._queued_bytes)
+
+    monkeypatch.setattr(TcpTransport, "send", recording)
+    addr, node, transport, _ = start_server(SPRAY_SRC)
+    try:
+        with caplog.at_level("WARNING", logger="logicnode.tcp"):
+            send_raw(addr, encode_envelope(Envelope("t", b"spray('%s')" % sink_addr.encode())))
+            with socket.create_connection(split_hostport(addr), timeout=5) as c:
+                c.sendall(b"".join(ping_frame(str(i)) for i in range(20)))
+                assert wait_for(lambda: node.metrics.delivered == 21, timeout=2.0), (
+                    node.metrics)
+            assert wait_for(lambda: node.metrics.sends == 10000, timeout=30)
+        assert re.search(r"dropped \d+ frames to %s" % re.escape(sink_addr), caplog.text)
+        assert max(peaks) <= tcp.QUEUE_LIMIT
+    finally:
+        transport.stop()
+        sink.close()
