@@ -26,6 +26,13 @@ a pattern with the call's slots; `,`, `;` and `->` are taken apart there,
 and a call builds its own arguments only when it runs.  A goal that is a
 term (a query, or a variable's value) is its own pattern: it holds no slot.
 
+`Solver._match` is the only unifier.  It takes patterns or plain terms, so
+head matching, `retract`, `Solver.unify` (`=`, `\=`, `member` and the
+builtins) and `==` all run in it.  Its two lines that bind a variable, each
+after trailing it, are the only places that bind one, and `undo` the only
+place that resets one.  `==` is unification that binds nothing: it runs
+over a trail that refuses every binding, so it stops at the first.
+
 Builtins that succeed at most once (the tests, arithmetic, `assert`, and
 the builtins of a `Node` or of `NodeConfig.extra_builtins`) are plain
 functions `fn(solver, args) -> bool`.  An all-solutions builtin (`findall`,
@@ -60,7 +67,7 @@ from typing import Iterator, Optional, Sequence
 from .reader import Clause, Program
 from .terms import (
     Atom, INT64_MAX, INT64_MIN, Int, Struct, Term, Var,
-    copy_term, deref, indicator, mklist, struct_eq, term_vars,
+    copy_term, deref, indicator, mklist, term_vars,
 )
 
 
@@ -376,53 +383,38 @@ class Solver:
 
     def unify(self, a: Term, b: Term) -> bool:
         """Trails bindings; on failure the caller must undo to its mark."""
-        stack = [(a, b)]
-        while stack:
-            x, y = stack.pop()
-            x = deref(x)
-            y = deref(y)
-            if x is y:
-                continue
-            if isinstance(x, Var):
-                x.ref = y
-                self.trail.append(x)
-            elif isinstance(y, Var):
-                y.ref = x
-                self.trail.append(y)
-            elif isinstance(x, Atom):
-                if not (isinstance(y, Atom) and y.name == x.name):
-                    return False
-            elif isinstance(x, Int):
-                if not (isinstance(y, Int) and y.value == x.value):
-                    return False
-            elif isinstance(x, Struct):
-                if not (isinstance(y, Struct) and y.name == x.name
-                        and len(y.args) == len(x.args)):
-                    return False
-                stack.extend(zip(x.args, y.args))
-            else:
-                return False
-        return True
+        return self._match((a,), (b,), None)
 
-    def _match(self, pats, args, slots: list) -> bool:
-        """Unify the terms `args` with the patterns `pats` over `slots`.
+    def _match(self, pats, args, slots: Optional[list]) -> bool:
+        """Unify the terms `args` with `pats` over `slots`: patterns, or
+        plain terms (which hold no slot, so `slots` may be None).
         Trails bindings; on failure the caller must undo to its mark."""
         trail = self.trail
         todo: list = []  # (patterns, terms) of compounds still to match
         while True:
             for p, t in zip(pats, args):
                 tp = type(p)
-                if tp is int:
+                if tp is int:  # a slot: its first use takes the term as it is
                     v = slots[p]
                     if v is None:
                         slots[p] = t
-                    elif not self.unify(v, t):
-                        return False
-                    continue
+                        continue
+                    p = v
+                    tp = type(p)
+                if tp is Var:
+                    p = deref(p)
+                    tp = type(p)
                 t = deref(t)
+                if p is t:
+                    continue
+                # the only two lines that bind a variable, each after it is
+                # trailed (a trail may refuse it: see `_bi_identical`)
                 if type(t) is Var:
-                    t.ref = _build(p, slots) if tp is tuple else p
                     trail.append(t)
+                    t.ref = _build(p, slots) if tp is tuple else p
+                elif tp is Var:
+                    trail.append(p)
+                    p.ref = t
                 elif tp is tuple:
                     if not (type(t) is Struct and t.name == p[0]
                             and len(t.args) == len(p[1])):
@@ -434,7 +426,10 @@ class Solver:
                 elif tp is Int:
                     if not (type(t) is Int and t.value == p.value):
                         return False
-                elif not self.unify(p, t):
+                elif (type(t) is Struct and t.name == p.name
+                      and len(t.args) == len(p.args)):  # p is a term's compound
+                    todo.append((p.args, t.args))
+                else:
                     return False
             if not todo:
                 return True
@@ -681,8 +676,24 @@ def _bi_unify(s, args):
     return s.unify(args[0], args[1])
 
 
-def _bi_struct_eq(s, args):
-    return struct_eq(args[0], args[1])
+class _NoBinding(Exception):
+    """The trail of `==`: it raises itself at the first binding."""
+
+    def append(self, var):
+        raise self
+
+
+def _bi_identical(s, args):
+    # identical terms unify without binding anything.  Stopping at the first
+    # binding keeps the unifier from building a cyclic term and walking it:
+    # `f(X, Y, X) = f(f(X), f(Y), Y)` does not end
+    trail, s.trail = s.trail, _NoBinding()
+    try:
+        return s.unify(args[0], args[1])
+    except _NoBinding:
+        return False
+    finally:
+        s.trail = trail
 
 
 def _bi_not_unifiable(s, args):
@@ -765,7 +776,7 @@ BUILTINS = {
     ("fail", 0): _bi_fail,
     ("false", 0): _bi_fail,
     ("=", 2): _bi_unify,
-    ("==", 2): _bi_struct_eq,
+    ("==", 2): _bi_identical,
     ("\\=", 2): _bi_not_unifiable,
     ("is", 2): _bi_is,
     ("=:=", 2): _cmp(_op.eq),

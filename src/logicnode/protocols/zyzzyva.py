@@ -10,6 +10,7 @@ from ..reader import parse_term, term_text
 from ..runtime import NodeConfig
 from ..sim import SimNetwork
 from ..terms import deref
+from ..wire import decode_frame, encode_envelope
 from . import facts, load_asset
 
 CLIENT = "c1"
@@ -121,13 +122,9 @@ class ZyzzyvaSim:
 
 
 def tamper_mac_hook(frame: bytes) -> bytes:
-    """Flip one bit inside the MAC field of a signed frame."""
-    if len(frame) < 8 or not frame[4] & 0x01:
+    """Flip one bit of the MAC of a signed frame; return any other frame as it is."""
+    env, _ = decode_frame(frame)
+    if not env.mac:
         return frame
-    sender_len = int.from_bytes(frame[5:7], "big")
-    mac_start = 4 + 1 + 2 + sender_len + 3
-    if mac_start >= len(frame):
-        return frame
-    out = bytearray(frame)
-    out[mac_start] ^= 0x40
-    return bytes(out)
+    env.mac = bytes([env.mac[0] ^ 0x40]) + env.mac[1:]
+    return encode_envelope(env)

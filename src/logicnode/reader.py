@@ -16,7 +16,8 @@ Two limits keep any input, program text or a peer's payload, from reaching
 the interpreter's own limits: a term may nest at most `MAX_DEPTH` levels of
 brackets and operators, and an integer literal may have at most
 `MAX_INT_DIGITS` digits (int64 needs 19).  Past either one the reader
-raises `ReaderError`.
+raises `ReaderError`, and so it does for a literal outside int64, the range
+of the engine's arithmetic.
 """
 
 from __future__ import annotations
@@ -25,7 +26,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .terms import Atom, EMPTY_LIST, Int, Struct, Term, Var, deref, list_parts
+from .terms import (
+    Atom, EMPTY_LIST, INT64_MAX, INT64_MIN, Int, Struct, Term, Var, deref,
+    list_parts,
+)
 
 
 class ReaderError(Exception):
@@ -245,8 +249,7 @@ class _Parser:
     def primary(self, maxp: int):
         kind, text, _, compound = self.peek()
         if kind == "int":
-            self.next()
-            return Int(int(text)), 0
+            return self.int_literal(1), 0
         if kind == "var":
             self.next()
             return self.getvar(text), 0
@@ -274,11 +277,19 @@ class _Parser:
                 p, typ = PREFIX_OPS[text]
                 if p <= maxp:
                     if text == "-" and self.peek()[0] == "int":
-                        return Int(-int(self.next()[1])), 0
+                        return self.int_literal(-1), 0
                     arg = self.parse(p if typ == "fy" else p - 1)
                     return Struct(text, (arg,)), p
             return Atom(text), 0
         self.err("unexpected end of input" if kind == "eof" else "unexpected token")
+
+    def int_literal(self, sign: int) -> Int:
+        """The next token, an integer literal, times `sign`."""
+        tok = self.next()
+        value = sign * int(tok[1])
+        if not INT64_MIN <= value <= INT64_MAX:
+            self.err("integer literal outside int64", tok)
+        return Int(value)
 
     def starts_term(self) -> bool:
         kind, text, _, compound = self.peek()

@@ -178,7 +178,7 @@ class TcpTransport:
             try:
                 sock = socket.create_connection(split_hostport(peer),
                                                 timeout=CONNECT_TIMEOUT_S)
-            except OSError as e:
+            except (OSError, ValueError) as e:  # ValueError: not host:port
                 raise LinkError("cannot connect to %s: %s" % (peer, e))
             sock.setblocking(False)
             self.connections_opened += 1

@@ -116,33 +116,6 @@ def indicator(t: Term):
     return None
 
 
-def struct_eq(a: Term, b: Term) -> bool:
-    """Structural identity (`==`): equal shapes, and a variable equals only itself."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        x = deref(x)
-        y = deref(y)
-        if x is y:
-            continue
-        if isinstance(x, Var) or isinstance(y, Var):
-            return False
-        if isinstance(x, Atom):
-            if not (isinstance(y, Atom) and x.name == y.name):
-                return False
-        elif isinstance(x, Int):
-            if not (isinstance(y, Int) and x.value == y.value):
-                return False
-        elif isinstance(x, Struct):
-            if not (isinstance(y, Struct) and y.name == x.name
-                    and len(y.args) == len(x.args)):
-                return False
-            stack.extend(zip(x.args, y.args))
-        else:
-            return False
-    return True
-
-
 def term_vars(t: Term) -> list:
     """Unbound variables of t in order of first occurrence."""
     seen = {}  # a Var hashes by identity; a dict keeps the order of insertion

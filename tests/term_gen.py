@@ -1,7 +1,9 @@
-"""Random term generators shared by the serialization tests.
+"""Random term generators shared by the serialization tests, and a
+reference unifier for the engine's tests.
 
-Two flavors: a hypothesis strategy for shrinkable property tests and a
-plain seeded generator that is fast enough for large fuzz counts.
+Two flavors of generator: a hypothesis strategy for shrinkable property
+tests and a plain seeded generator that is fast enough for large fuzz
+counts.
 """
 
 import random
@@ -63,3 +65,53 @@ def random_term(rng: random.Random, depth: int = 3):
                                   for _ in range(arity)))
     return mklist([random_term(rng, depth - 1)
                    for _ in range(rng.randint(0, 4))])
+
+
+# --- a reference unifier, independent of the engine's ---
+
+CYCLIC = "cyclic"  # what `unify_terms` returns when only a cyclic term unifies
+
+
+def substitute(t, subst: dict):
+    """`t` with each variable that `subst` maps replaced by its term."""
+    if isinstance(t, Var):
+        return subst.get(t, t)
+    if isinstance(t, Struct):
+        return Struct(t.name, tuple(substitute(a, subst) for a in t.args))
+    return t
+
+
+def _occurs(v: Var, t) -> bool:
+    return t is v or isinstance(t, Struct) and any(_occurs(v, a) for a in t.args)
+
+
+def disagreement(a, b):
+    """The leftmost pair of subterms at which `a` and `b` differ, or None when
+    they are structurally identical (a variable is identical only to
+    itself)."""
+    if isinstance(a, Struct) and isinstance(b, Struct) and (
+            a.name, len(a.args)) == (b.name, len(b.args)):
+        return next((d for d in map(disagreement, a.args, b.args) if d is not None),
+                    None)
+    return None if a is b or a == b else (a, b)
+
+
+def unify_terms(a, b):
+    """Most general unifier of `a` and `b`, by Robinson's method: bind a
+    variable of the leftmost disagreement and apply the substitution to both
+    terms, until they agree.  Returns {Var: term} for each variable it binds,
+    None when the terms do not unify, or CYCLIC when the occurs check fails.
+    Reads no binding, so the variables of `a` and `b` must be unbound, and
+    leaves both terms as they were."""
+    subst: dict = {}
+    while True:
+        pair = disagreement(substitute(a, subst), substitute(b, subst))
+        if pair is None:
+            return subst
+        v, t = pair if isinstance(pair[0], Var) else pair[::-1]
+        if not isinstance(v, Var):
+            return None  # different atoms, integers or functors
+        if _occurs(v, t):
+            return CYCLIC
+        subst = {w: substitute(s, {v: t}) for w, s in subst.items()}
+        subst[v] = t

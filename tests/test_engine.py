@@ -7,18 +7,8 @@ from hypothesis import strategies as st
 from logicnode import engine
 from logicnode.engine import Database, EngineError, SolveLimits, Solver, _first_arg_key
 from logicnode.reader import Clause, parse_program, parse_term, term_text
-from logicnode.terms import Atom, Int, Struct, Var, copy_term, deref, list_parts, mklist
-
-
-def unify_terms(a, b):
-    """Most general unifier of `a` and `b` as {Var: Term} for each variable
-    it binds, or None; leaves both terms as they were."""
-    s = Solver(Database())
-    ok = s.unify(a, b)
-    mapping: dict = {}
-    out = {v: copy_term(v, mapping) for v in s.trail} if ok else None
-    s.undo(0)
-    return out
+from logicnode.terms import Atom, Int, Struct, Var, list_parts, mklist
+from term_gen import CYCLIC, disagreement, substitute, unify_terms
 
 
 def solver_for(src: str, max_steps: int = 10_000_000) -> Solver:
@@ -211,6 +201,11 @@ def test_structural_equality_and_not_unifiable():
     assert first_answer("", "f(X) == f(Y)") is None  # distinct variables
     assert first_answer("", "f(X) == f(X)") is not None  # one shared variable
     assert first_answer("", "X = a, f(X) == f(a)") is not None
+    assert first_answer("", "f(X, Y) == f(Y, X)") is None
+    assert first_answer("", "X == X") is not None
+    assert first_answer("", "X = Y, X == Y") is not None
+    # unifying these would bind X to f(X) and Y to f(Y), then compare them
+    assert first_answer("", "f(X, Y, g(a), X) == f(f(X), f(Y), g(b), Y)") is None
     assert first_answer("", "a \\= b") is not None
     assert first_answer("", "X \\= a") is None
     # a failed unification leaves no bindings: whichever order unify takes
@@ -549,20 +544,6 @@ HEAD_AND_GOAL = st.integers(1, 3).flatmap(lambda n: st.tuples(
     _arg_lists(["A", "B", "C"], n), _arg_lists(["X", "Y", "Z"], n)))
 
 
-def _finite_text(t, limit: int = 10_000):
-    """term_text of `t`, or None when unification without an occurs check
-    made it cyclic (its walk passes `limit` subterms)."""
-    todo = [t]
-    while todo:
-        limit -= 1
-        if limit < 0:
-            return None
-        x = deref(todo.pop())
-        if isinstance(x, Struct):
-            todo.extend(x.args)
-    return term_text(t)
-
-
 @settings(max_examples=300, deadline=None)
 @given(HEAD_AND_GOAL)
 @example(("a, f(A)", "a, f(X, Y)"))  # past the first argument: no index filter
@@ -570,14 +551,36 @@ def _finite_text(t, limit: int = 10_000):
 def test_head_matching_binds_the_goal_as_unification_does(head_and_goal):
     head, goal = head_and_goal
     answer = "v(X, Y, Z)"
-    # the oracle: unify the goal with a renamed copy of the head
-    query = parse_term("p(%s) = p(%s), R = %s" % (goal, head, answer))
-    s = Solver(Database())
-    ok = s.unify(query.args[0].args[0], query.args[0].args[1])
-    expected = _finite_text(query.args[1].args[1]) if ok else None
-    assume(not ok or expected is not None)
+    # the oracle: the reference unifier on the goal and a renamed copy of the head
+    goal_term, head_term, answer_term = parse_term(
+        "t(p(%s), p(%s), %s)" % (goal, head, answer)).args
+    mgu = unify_terms(goal_term, head_term)
+    assume(mgu is not CYCLIC)  # the engine has no occurs check
+    expected = None if mgu is None else term_text(substitute(answer_term, mgu))
     got = first_answer("p(%s).\n" % head, "p(%s), R = %s" % (goal, answer))
     assert (got and term_text(got["R"])) == expected
+
+
+SHARED_PAIRS = st.tuples(_terms(["X", "Y", "Z"]), _terms(["X", "Y", "Z"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(SHARED_PAIRS)
+@example(("f(X, Y)", "f(Y, X)"))
+@example(("[X|Y]", "[Y, a]"))
+def test_unify_and_identity_agree_with_the_reference_unifier(pair):
+    a, b, answer = parse_term("t(%s, %s, v(X, Y, Z))" % pair).args
+    mgu = unify_terms(a, b)
+    assume(mgu is not CYCLIC)  # the engine has no occurs check
+    before = term_text(answer)
+    s = Solver(Database())
+    assert engine.BUILTINS["==", 2](s, (a, b)) == (disagreement(a, b) is None)
+    assert s.trail == [] and term_text(answer) == before
+    ok = s.unify(a, b)
+    assert (term_text(answer) if ok else None) == (
+        None if mgu is None else term_text(substitute(answer, mgu)))
+    s.undo(0)
+    assert term_text(answer) == before
 
 
 # each level runs the next inside a double negation, a findall or a count

@@ -219,6 +219,9 @@ def test_integer_literals_within_int64():
     assert parse_term(str(INT64_MAX)) == Int(INT64_MAX)
     assert parse_term(str(INT64_MIN)) == Int(INT64_MIN)
     assert len(str(INT64_MIN)) == MAX_INT_DIGITS + 1
+    for text in (str(INT64_MAX + 1), str(INT64_MIN - 1), "X is %d" % (INT64_MAX + 1)):
+        with pytest.raises(ReaderError, match="outside int64"):
+            parse_term(text)
     with pytest.raises(ReaderError, match="longer than 19 digits"):
         parse_term("1" + "0" * MAX_INT_DIGITS)
     with pytest.raises(ReaderError, match="longer than 19 digits"):

@@ -144,6 +144,21 @@ def test_send_to_dead_peer_raises_link_error():
         transport.stop()
 
 
+@pytest.mark.parametrize("policy, outcome", [("fail", "failure"), ("throw", "error:send")])
+def test_send_to_a_malformed_address_follows_the_policy(policy, outcome):
+    addr = fresh_addr()
+    transport = TcpTransport(addr)  # not running: the test thread dispatches
+    src = ":- event go/1.\ngo(D) :- send(D, hi).\n"
+    node = start_node(NodeConfig(addr, parse_program(src), policy=policy), transport)
+    try:
+        for dest in ("foo", "'h:x'"):
+            env = Envelope("t", serialize(parse_term("go(%s)" % dest)))
+            assert node.dispatch(env)[0] == outcome
+        assert node.metrics.internal_errors == 0
+    finally:
+        transport.stop()
+
+
 def test_alarm_fires_on_wall_clock(server):
     addr, node, transport = server
     transport.schedule_alarm(addr, 30, Envelope(addr, serialize(parse_term("tick")), None, "alarm"))
