@@ -30,17 +30,20 @@ term (a query, or a variable's value) is its own pattern: it holds no slot.
 head matching, `retract`, `Solver.unify` (`=`, `\=`, `member` and the
 builtins) and `==` all run in it.  Its two lines that bind a variable, each
 after trailing it, are the only places that bind one, and `undo` the only
-place that resets one.  `==` is unification that binds nothing: it runs
-over a trail that refuses every binding, so it stops at the first.
+place that resets one.  Before either binds a variable to a compound, an
+occurs check walks the compound and fails the unification if the variable
+is in it, so no cyclic term can be built and every walk of a term ends.
+`==` is unification that binds nothing: a trail that did not grow.
 
-Builtins that succeed at most once (the tests, arithmetic, `assert`, and
-the builtins of a `Node` or of `NodeConfig.extra_builtins`) are plain
-functions `fn(solver, args) -> bool`.  An all-solutions builtin (`findall`,
-`count`, `sendall`) is a tuple: the index of its goal argument,
+Every builtin is an entry of one table, `BUILTINS` (a `Node` merges its own
+and `NodeConfig.extra_builtins` under it).  One that succeeds at most once
+(the tests, arithmetic, `assert`, the node's) is a plain function
+`fn(solver, args) -> bool`.  One with several solutions (`member/2`,
+`retract/1`) is a generator function: the solver tells it by the generator
+it returns, which yields once per solution.  An all-solutions builtin
+(`findall`, `count`, `sendall`) is a tuple: the index of its goal argument,
 `record(solver, args)`, which returns one solution's note while its bindings
 hold, and `finish(solver, args, notes) -> bool`, called once they are undone.
-`member/2` and `retract/1` are generators `fn(solver, args)` that yield once
-per solution.
 
 Clauses are indexed on their first argument, after Warren's first-argument
 switch.  A first argument has a key when it is an atom, an integer, or a
@@ -62,6 +65,7 @@ then on `assert`, consult-time loading and `retract` keep it current.
 from __future__ import annotations
 
 import operator as _op
+from types import GeneratorType
 from typing import Iterator, Optional, Sequence
 
 from .reader import Clause, Program
@@ -281,6 +285,20 @@ def _build(p, slots: list) -> Term:
     return done[0]
 
 
+def _occurs(v: Var, t: Struct) -> bool:
+    """Whether unbound `v` occurs in `t`; an explicit stack, so any depth."""
+    todo = [t.args]
+    while todo:
+        for x in todo.pop():
+            while type(x) is Var:  # deref; an unbound one ends it at None
+                if x is v:
+                    return True
+                x = x.ref
+            if type(x) is Struct:
+                todo.append(x.args)
+    return False
+
+
 def _first_arg_key(t: Term):
     """Index key of a first argument: an atom's name, an integer's value, or
     (name, key of each argument) for a flat ground compound; else None.
@@ -359,9 +377,9 @@ _COLLECT = object()  # a goal that records one solution of a collected goal
 
 
 class Solver:
-    """`builtins` maps (name, arity) to `fn(solver, args) -> bool`; it
-    defaults to `BUILTINS`, and a `Node` passes `BUILTINS` merged over its
-    own."""
+    """`builtins` maps (name, arity) to a builtin of one of the three kinds
+    above; it defaults to `BUILTINS`, and a `Node` passes `BUILTINS` merged
+    over its own."""
 
     def __init__(self, db: Database, limits: Optional[SolveLimits] = None,
                  builtins: Optional[dict] = None):
@@ -408,11 +426,17 @@ class Solver:
                 if p is t:
                     continue
                 # the only two lines that bind a variable, each after it is
-                # trailed (a trail may refuse it: see `_bi_identical`)
+                # trailed and checked not to occur in its value
                 if type(t) is Var:
+                    if tp is tuple:
+                        p = _build(p, slots)
+                    if type(p) is Struct and _occurs(t, p):
+                        return False
                     trail.append(t)
-                    t.ref = _build(p, slots) if tp is tuple else p
+                    t.ref = p
                 elif tp is Var:
+                    if type(t) is Struct and _occurs(p, t):
+                        return False
                     trail.append(p)
                     p.ref = t
                 elif tp is tuple:
@@ -543,12 +567,12 @@ class Solver:
                     goals = (args[builtin[0]], None, len(cps), (_COLLECT, barrier, 0, None))
                     continue
                 if builtin is not None:
-                    goals = rest if builtin(self, args) else _FAIL
-                    continue
-                builtin = _GENERATORS.get(key)
-                if builtin is not None:  # backtracking takes its first solution
-                    cps.append((len(trail), builtin(self, args), rest))
-                    goals = _FAIL
+                    got = builtin(self, args)
+                    if type(got) is GeneratorType:  # backtracking takes its first solution
+                        cps.append((len(trail), got, rest))
+                        goals = _FAIL
+                    else:
+                        goals = rest if got else _FAIL
                     continue
                 clauses = self.db.clauses_for(key, args[0] if args else None) or ()
                 goals = self._try_clauses(args, list(clauses), 0, rest, cps)
@@ -676,24 +700,12 @@ def _bi_unify(s, args):
     return s.unify(args[0], args[1])
 
 
-class _NoBinding(Exception):
-    """The trail of `==`: it raises itself at the first binding."""
-
-    def append(self, var):
-        raise self
-
-
 def _bi_identical(s, args):
-    # identical terms unify without binding anything.  Stopping at the first
-    # binding keeps the unifier from building a cyclic term and walking it:
-    # `f(X, Y, X) = f(f(X), f(Y), Y)` does not end
-    trail, s.trail = s.trail, _NoBinding()
-    try:
-        return s.unify(args[0], args[1])
-    except _NoBinding:
-        return False
-    finally:
-        s.trail = trail
+    # identical terms unify without binding anything
+    m = s.mark()
+    same = s.unify(args[0], args[1]) and len(s.trail) == m
+    s.undo(m)
+    return same
 
 
 def _bi_not_unifiable(s, args):
@@ -785,14 +797,11 @@ BUILTINS = {
     ("=<", 2): _cmp(_op.le),
     (">=", 2): _cmp(_op.ge),
     ("assert", 1): _bi_assert,
+    ("member", 2): _bi_member,
+    ("retract", 1): _bi_retract,
     # all solutions: (goal argument, record, finish)
     ("findall", 3): (1, lambda s, args: copy_term(args[0]),
                      lambda s, args, notes: s.unify(args[2], mklist(notes))),
     ("count", 2): (0, lambda s, args: None,
                    lambda s, args, notes: s.unify(args[1], Int(len(notes)))),
-}
-
-_GENERATORS = {
-    ("member", 2): _bi_member,
-    ("retract", 1): _bi_retract,
 }

@@ -22,6 +22,11 @@ new connection from the first frame not taken whole; then the frames are
 dropped and logged.  When the queues of all peers pass `QUEUE_LIMIT`
 bytes, the longest is dropped with its connection, and logged.
 
+A `$dump` reply takes the same path: once the request is dispatched, its
+connection leaves the read set, the reply is queued under that socket, a
+failed write drops it with no retry, and the socket is closed once written.
+So only `send`'s connect (`CONNECT_TIMEOUT_S`) can make the loop wait.
+
 While the loop runs only its handlers call `send`; tests also call
 `schedule_alarm` (it may fire up to `POLL_S` late) from their own thread.
 `stop` may be called from any thread: within `POLL_S` the loop drops what
@@ -52,7 +57,7 @@ POLL_S = 0.2  # longest wait in select, so that stop() is seen promptly
 INBOX_LIMIT = 1024  # envelopes; pingpong keeps at most 128 in flight
 CHUNK_BYTES = 65536  # one read, and the most queued for a peer before a write
 MAX_CONNECTIONS = 4096  # inbound connections, and cached outbound ones
-CONNECT_TIMEOUT_S = 5.0  # for a connect, and for the reply to a $dump
+CONNECT_TIMEOUT_S = 5.0  # the longest wait for a connect
 QUEUE_LIMIT = 2 * MAX_FRAME_BYTES  # bytes queued for all peers together
 
 
@@ -120,16 +125,20 @@ class TcpTransport:
             return
         frame = encode_envelope(env)
         self._connection(to)  # raises LinkError now if the peer is unreachable
-        queue = self._queued.setdefault(to, [bytearray(), 0, False])[0]
+        self._enqueue(to, frame)
+
+    def _enqueue(self, peer, frame: bytes) -> None:
+        """Queue frame for peer: an address, or the connection of a `$dump`."""
+        queue = self._queued.setdefault(peer, [bytearray(), 0, False])[0]
         queue += frame
         self._queued_bytes += len(frame)
         if len(queue) >= CHUNK_BYTES > len(queue) - len(frame):  # it just filled a chunk
-            self._pump(to)
+            self._pump(peer)
         while self._queued_bytes > QUEUE_LIMIT:
             self._drop(max(self._queued, key=lambda p: len(self._queued[p][0])),
                        "queues passed %d bytes" % QUEUE_LIMIT)
 
-    def _pump(self, peer: str) -> None:
+    def _pump(self, peer) -> None:
         """Write in one send what peer's socket takes of its queue, which
         starts at the first frame not taken whole; while some is left, the
         socket waits for EVENT_WRITE."""
@@ -137,16 +146,16 @@ class TcpTransport:
         queue = queued[0]
         for retry in (False, True):
             try:
-                sock = self._connection(peer)
+                sock = self._connection(peer) if type(peer) is str else peer
                 with memoryview(queue)[queued[1]:] as rest:
                     queued[1] += sock.send(rest)
                 break
             except BlockingIOError:
                 break
             except OSError as e:
-                self._evict(peer)
-                if retry:
+                if retry or sock is peer:  # a $dump connection cannot be reopened
                     return self._drop(peer, e)
+                self._evict(peer)
             except LinkError as e:
                 return self._drop(peer, e)
         done = queued[1]
@@ -154,21 +163,23 @@ class TcpTransport:
         del queue[:taken]
         queued[1] -= taken
         self._queued_bytes -= taken
-        if not queue:
-            del self._queued[peer]
         if queue and not queued[2]:
             self._sel.register(sock, selectors.EVENT_WRITE, peer)
         elif queued[2] and not queue:
             self._sel.unregister(sock)
         queued[2] = bool(queue)
+        if not queue:
+            del self._queued[peer]
+            if sock is peer:
+                sock.close()
 
-    def _drop(self, peer: str, reason) -> None:
+    def _drop(self, peer, reason) -> None:
         """Close peer's connection and drop its queued frames, with a warning."""
-        self._evict(peer)
-        queue = self._queued.pop(peer)[0]
-        self._queued_bytes -= len(queue)
+        queue = self._queued[peer][0]
         log.warning("%s: dropped %d frames to %s: %s", self.bind_address,
                     _frames_within(queue, len(queue))[0], peer, reason)
+        self._evict(peer)
+        self._queued_bytes -= len(self._queued.pop(peer)[0])
 
     # --- connection cache ---
 
@@ -187,9 +198,9 @@ class TcpTransport:
         self._conns[peer] = sock  # the cache keeps the order of last use
         return sock
 
-    def _evict(self, peer: str) -> None:
+    def _evict(self, peer) -> None:
         """Close peer's connection; a new one starts at its first queued frame."""
-        sock = self._conns.pop(peer, None)
+        sock = self._conns.pop(peer, None) if type(peer) is str else peer
         queued = self._queued.get(peer)
         if queued:
             if queued[2]:
@@ -207,7 +218,7 @@ class TcpTransport:
         for key, _ in self._sel.select(timeout):
             if key.fileobj is self._listener:
                 self._accept()
-            elif isinstance(key.data, str):  # an outbound socket that was full
+            elif type(key.data) is not StreamDecoder:  # a socket that was full
                 self._pump(key.data)
             elif len(self._inbox) < INBOX_LIMIT:
                 self._read(key.fileobj, key.data)
@@ -292,13 +303,12 @@ class TcpTransport:
         name, arity = deref(term.args[0]), deref(term.args[1])
         if not (isinstance(name, Atom) and isinstance(arity, Int)):
             return
+        if conn.fileno() < 0 or conn in self._queued:  # closed, or already replying
+            return
         listing = self._node.dump_facts(name.name, arity.value).encode("utf-8")
-        try:
-            conn.settimeout(CONNECT_TIMEOUT_S)  # the loop waits that long at most
-            conn.sendall(encode_envelope(Envelope(self.bind_address, listing)))
-            conn.setblocking(False)
-        except OSError:
-            pass
+        self._sel.unregister(conn)  # from now on the connection only takes its reply
+        self._inbound -= 1
+        self._enqueue(conn, encode_envelope(Envelope(self.bind_address, listing)))
 
     def start(self) -> threading.Thread:
         t = threading.Thread(target=self.run, daemon=True)

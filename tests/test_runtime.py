@@ -344,6 +344,16 @@ def test_hostile_payload_is_a_decode_error(name):
     assert node.metrics.decode_errors == 1
 
 
+@pytest.mark.parametrize("payload", [b"m(X, f(X))", b"m(_G1, f(_G1))"])
+def test_a_message_that_unifies_only_to_a_cyclic_term_fails(within_2s, payload):
+    # without an occurs check the head binds X to f(X), and copying the
+    # answer walked that cycle for ever
+    net, node = make_net(":- event m/2.\nm(A, A).\n")
+    outcome, _, _ = node.dispatch(Envelope("x", payload))
+    assert outcome == "failure"
+    assert node.metrics.internal_errors == 0
+
+
 _TERM_CHARS = "pingf(a),[]|+-*/\\ '0123456789_XY;:=<>.!é²١"
 
 

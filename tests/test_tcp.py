@@ -7,9 +7,10 @@ from collections import deque
 import pytest
 
 from logicnode import tcp
-from logicnode.reader import parse_program, parse_term, serialize
+from logicnode.reader import Clause, parse_program, parse_term, serialize
 from logicnode.runtime import NodeConfig, start_node
 from logicnode.tcp import INBOX_LIMIT, TcpTransport, split_hostport
+from logicnode.terms import Atom, Int, Struct
 from logicnode.wire import Envelope, StreamDecoder, encode_envelope
 
 from test_runtime import DEEP_SRC, HOSTILE_PAYLOADS
@@ -165,13 +166,41 @@ def test_alarm_fires_on_wall_clock(server):
     assert wait_for(lambda: "ticks(1)" in node.dump_facts("ticks", 1))
 
 
+DUMP_SEEN = encode_envelope(Envelope("tester", serialize(parse_term("'$dump'(seen, 1)"))))
+
+
+def read_to_eof(addr: str, data: bytes) -> bytes:
+    with socket.create_connection(split_hostport(addr), timeout=5) as s:
+        s.sendall(data)
+        got = b""
+        while True:
+            chunk = s.recv(65536)
+            if not chunk:
+                return got
+            got += chunk
+
+
 def test_dump_endpoint_round_trip(server):
     addr, node, _ = server
-    frame = encode_envelope(Envelope("tester", serialize(parse_term("ping(q)"))))
-    send_raw(addr, frame)
+    send_raw(addr, ping_frame("q"))
     assert wait_for(lambda: node.metrics.delivered == 1)
-    req = encode_envelope(Envelope("tester", serialize(parse_term("'$dump'(seen, 1)"))))
-    assert send_raw(addr, req, read_reply=True) == b"seen(q)"
+    # the node closes the connection after its reply
+    assert read_to_eof(addr, DUMP_SEEN) == encode_envelope(Envelope(addr, b"seen(q)"))
+
+
+@pytest.mark.parametrize("after, replied", [
+    (DUMP_SEEN, True),  # a second request gets no reply of its own
+    (b"\xff\xff\xff\xff", False),  # bad framing drops the connection first
+], ids=["second_request", "bad_framing"])
+def test_a_dump_connection_answers_one_request_at_most(server, after, replied):
+    addr, node, _ = server
+    send_raw(addr, ping_frame("q"))
+    assert wait_for(lambda: node.metrics.delivered == 1)
+    assert read_to_eof(addr, DUMP_SEEN + after) == (
+        encode_envelope(Envelope(addr, b"seen(q)")) if replied else b"")
+    send_raw(addr, ping_frame("r"))
+    assert wait_for(lambda: node.metrics.delivered == 2)
+    assert node.metrics.internal_errors == 0
 
 
 def test_dump_endpoint_can_be_disabled():
@@ -189,6 +218,70 @@ def test_dump_endpoint_can_be_disabled():
                 s.recv(4096)
     finally:
         transport.stop()
+
+
+def big_dump_server():
+    """A node whose big/2 lists 2,000 facts of 3 KB: a 6 MB `$dump` reply."""
+    facts = [Clause(Struct("big", (Int(i), Atom("x" * 3000))), Atom("true"))
+             for i in range(2000)]
+    addr = fresh_addr()
+    transport = TcpTransport(addr)
+    node = start_node(NodeConfig(addr, parse_program(COUNT_SRC), facts=facts), transport)
+    return addr, node, transport, transport.start()
+
+
+def unread_dump_request(addr: str) -> socket.socket:
+    """A connection that asks for big/2 and never reads the reply."""
+    c = socket.socket()
+    c.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    c.connect(split_hostport(addr))
+    c.sendall(encode_envelope(Envelope("t", serialize(parse_term("'$dump'(big, 2)")))))
+    return c
+
+
+def test_a_dump_reply_that_is_never_read_delays_no_ping():
+    addr, node, transport, _ = big_dump_server()
+    client = unread_dump_request(addr)
+    try:
+        time.sleep(0.2)  # the node reads the request first
+        t0 = time.monotonic()
+        send_raw(addr, ping_frame("after"))
+        assert wait_for(lambda: node.metrics.delivered == 1, timeout=10)
+        assert time.monotonic() - t0 < 1.0
+    finally:
+        client.close()
+        transport.stop()
+
+
+def test_a_dump_client_that_closes_before_reading_costs_at_most_one_warning(caplog):
+    addr, node, transport, _ = big_dump_server()
+    try:
+        with caplog.at_level("WARNING", logger="logicnode.tcp"):
+            client = unread_dump_request(addr)
+            assert wait_for(lambda: len(transport._queued) == 1)  # the reply waits
+            client.close()
+            assert wait_for(lambda: not transport._queued)
+            send_raw(addr, ping_frame("after"))
+            assert wait_for(lambda: node.metrics.delivered == 1)
+        assert caplog.text.count("dropped") <= 1
+        assert node.metrics.internal_errors == 0
+        assert transport._queued_bytes == 0
+    finally:
+        transport.stop()
+
+
+def test_stop_closes_a_connection_whose_reply_is_still_queued():
+    addr, node, transport, loop = big_dump_server()
+    client = unread_dump_request(addr)
+    try:
+        assert wait_for(lambda: len(transport._queued) == 1)
+        (conn,) = list(transport._queued)
+        transport.stop()
+        loop.join(timeout=5)
+        assert not loop.is_alive()
+        assert conn.fileno() == -1
+    finally:
+        client.close()
 
 
 def test_double_bind_fails(server):
