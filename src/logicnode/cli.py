@@ -20,7 +20,7 @@ from .runtime import POLICIES, LinkError, NodeConfig, start_node
 from .scenario import ScenarioError, load_scenario
 from .tcp import TcpTransport, split_hostport
 from .terms import Atom, Int, Struct
-from .wire import Envelope, StreamDecoder, encode_envelope
+from .wire import Envelope, FrameError, StreamDecoder, encode_envelope
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -277,7 +277,7 @@ def cmd_dump(args) -> int:
                 if text:
                     print(text)
                 return EXIT_OK
-    except OSError as e:
+    except (OSError, FrameError, UnicodeDecodeError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_RUNTIME
     finally:

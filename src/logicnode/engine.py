@@ -49,15 +49,17 @@ Clauses are indexed on their first argument, after Warren's first-argument
 switch.  A first argument has a key when it is an atom, an integer, or a
 flat ground compound (one whose arguments are all atoms or integers, such
 as `5-1`); two keys are equal exactly when the terms are `==`.  Each
-predicate's index maps a key to the clauses a call with that key must try,
-in database order: the clauses with that key, the clauses whose first
-argument is a variable and, for a compound key, the clauses whose first
-argument is a compound of the same name and arity without a key.  A keyed
-call with no list of its own reads its functor's fallback list (for a
-compound) or the variable clauses.  A call whose first argument is a
-compound without a key (a list cell, `finger(I)`) reads its functor's list:
-every clause whose first argument has that name and arity, and the variable
-clauses.  A call with an unbound first argument tries the whole predicate.
+predicate's index files every clause in buckets by its own first argument:
+a variable under None, an atom, an integer or a keyed compound under its
+key, and a compound also under its functor, with a compound without a key
+under its functor's keyless bucket as well.  So a clause sits in at most two
+buckets, and the index grows with the stored clauses, not with the calls.  A
+call whose first argument is an atom or an integer reads its key's bucket
+and the variable clauses; a keyed compound also reads its functor's keyless
+bucket; a compound without a key (a list cell, `finger(I)`) reads its
+functor's bucket and the variable clauses.  When more than one of these is
+non-empty, they are merged by the stamp each filing got, which is database
+order.  A call with an unbound first argument tries the whole predicate.
 The index is built on the first call with a bound first argument, and from
 then on `assert`, consult-time loading and `retract` keep it current.
 """
@@ -65,6 +67,7 @@ then on `assert`, consult-time loading and `retract` keep it current.
 from __future__ import annotations
 
 import operator as _op
+from itertools import chain, count
 from types import GeneratorType
 from typing import Iterator, Optional, Sequence
 
@@ -94,12 +97,12 @@ class Database:
 
     def __init__(self):
         self.preds: dict = {}        # (name, arity) -> list[Clause]
-        # (name, arity) -> {call key: list[Clause]}, absent until first used.
-        # Call keys: a first-argument key; (arity, name) for a functor's
-        # list and (None, arity, name) for its fallback list, which no key
-        # equals, as a compound's key starts with its name; None for the
-        # clauses whose first argument is a variable, in every list
+        # (name, arity) -> {bucket key: (clauses, stamps)}, absent until first
+        # used.  A clause is filed under at most two keys (`_bucket_keys`),
+        # each filing with a stamp from `_stamps`, so a call that reads
+        # several buckets merges them back into database order
         self._index: dict = {}
+        self._stamps = count()
         self.dynamic: set = set()
         self.events: set = set()
         self.alarms: set = set()
@@ -121,7 +124,19 @@ class Database:
         if ind is None:
             raise EngineError("type", "clause head is not callable")
         self.preds.setdefault(ind, []).append(clause)
-        self._index_add(ind, clause)
+        index = self._index.get(ind)
+        if index is not None:
+            self._file(index, clause)
+
+    def _file(self, index: dict, clause: Clause) -> None:
+        stamp = next(self._stamps)
+        for key in _bucket_keys(clause):
+            bucket = index.get(key)
+            if bucket is None:  # most keys hold one clause: no spare room
+                index[key] = ([clause], [stamp])
+            else:
+                bucket[0].append(clause)
+                bucket[1].append(stamp)
 
     def clauses_for(self, ind, first: Optional[Term] = None) -> Optional[Sequence]:
         """The clauses, in database order, that a call of `ind` whose first
@@ -137,61 +152,53 @@ class Database:
             return clauses
         index = self._index.get(ind)
         if index is None:
-            index = self._index[ind] = {None: []}
+            index = self._index[ind] = {}
             for c in clauses:
-                self._index_add(ind, c)
+                self._file(index, c)
         key = _first_arg_key(first)
-        if key is None:  # a compound with an unbound or compound argument
-            key = (len(first.args), first.name)
-            if key not in index:
-                index[key] = [c for c in clauses if _in_functor_list(c, key)]
-            return index[key]
-        got = index.get(key)
-        return _fallback(index, key) if got is None else got
-
-    def _index_add(self, ind, clause: Clause) -> None:
-        index = self._index.get(ind)
-        if index is None:  # not built yet
-            return
-        key = _clause_key(clause)
-        if key is not None and key not in index:
-            index[key] = list(_fallback(index, key))  # its other clauses, all older
-        for bucket in _lists_holding(index, key):
-            bucket.append(clause)
-
-    def is_dynamic(self, ind) -> bool:
-        return ind in self.dynamic
+        if type(first) is not Struct:
+            found = (index.get(key), index.get(None))
+        elif key is None:  # a compound with an unbound or compound argument
+            found = (index.get((len(first.args), first.name)), index.get(None))
+        else:
+            found = (index.get(key), index.get((None, len(first.args), first.name)),
+                     index.get(None))
+        one = None
+        for bucket in found:
+            if bucket is not None:
+                if one is not None:  # merge them by their stamps
+                    return [c for _, c in sorted(chain.from_iterable(
+                        zip(b[1], b[0]) for b in found if b is not None))]
+                one = bucket
+        return () if one is None else one[0]
 
     def assert_clause(self, clause: Clause) -> None:
         """Runtime assertz; a first assert on an unknown indicator makes it dynamic."""
         ind = indicator(clause.head)
         if ind is None:
             raise EngineError("type", "assert of a non-callable term")
-        bucket = self.preds.get(ind)
-        if bucket is None:
+        if ind not in self.preds:
             self.dynamic.add(ind)
-            self.preds[ind] = [clause]
-            return
-        if ind not in self.dynamic:
+        elif ind not in self.dynamic:
             raise EngineError("permission", "assert on static predicate %s/%d" % ind)
-        bucket.append(clause)
-        self._index_add(ind, clause)
+        self.add_clause(clause)
 
     def retract(self, ind, clause: Clause) -> bool:
-        """Remove one stored clause of `ind` from the list and its index;
-        False if it was no longer stored."""
+        """Remove the oldest stored copy of a clause of `ind` from the list
+        and its index; False if it was no longer stored."""
         try:
             self.preds[ind].remove(clause)
         except ValueError:
             return False
         index = self._index.get(ind)
-        if index is None:
-            return True
-        key = _clause_key(clause)
-        for bucket in _lists_holding(index, key):
-            bucket.remove(clause)
-        if key is not None and len(index[key]) == len(_fallback(index, key)):
-            del index[key]  # no clause with this key is left
+        if index is not None:  # its oldest filing is first in each bucket too
+            for key in _bucket_keys(clause):
+                clauses, stamps = index[key]
+                if len(clauses) == 1:
+                    del index[key]
+                else:
+                    i = clauses.index(clause)
+                    del clauses[i], stamps[i]
         return True
 
     def facts(self, name: str, arity: int) -> list:
@@ -326,49 +333,18 @@ def _first_arg_key(t: Term):
     return tuple(key)
 
 
-def _clause_key(clause: Clause):
-    """The call key whose list a clause belongs to: its first argument's key;
-    for a compound without a key, its functor's fallback list; None for a
-    variable."""
+def _bucket_keys(clause: Clause) -> tuple:
+    """The keys of the buckets a clause is filed under: its first argument's
+    key, None for a variable; for a compound, also its functor (arity, name),
+    and (None, arity, name) in place of a key it does not have.  Keys of
+    different kinds never clash: a compound's key starts with its name, a
+    functor with its arity."""
     first = deref(deref(clause.head).args[0])
     key = _first_arg_key(first)
-    if key is None and type(first) is Struct:
-        return (None, len(first.args), first.name)
-    return key
-
-
-def _fallback(index: dict, key) -> list:
-    """The list a call with `key` reads when the key has none of its own."""
-    if type(key) is tuple and key[0] is not None:  # a flat compound
-        got = index.get((None, len(key) - 1, key[0]))
-        if got is not None:
-            return got
-    return index[None]
-
-
-def _in_functor_list(clause: Clause, functor: tuple) -> bool:
-    """Whether a call whose first argument is a compound without a key, of
-    `functor` (arity, name), must try `clause`."""
-    key = _clause_key(clause)
-    if type(key) is not tuple:
-        return key is None
-    if key[0] is None:
-        return key[1:] == functor
-    return len(key) == functor[0] + 1 and key[0] == functor[1]
-
-
-def _lists_holding(index: dict, key) -> list:
-    """The lists of `index` that hold a clause whose call key is `key`."""
-    if key is None:
-        return list(index.values())
-    if type(key) is not tuple:
-        return [index[key]]
-    if key[0] is None:  # every list of its functor, and each key of it
-        _, n, name = key
-        return [b for k, b in index.items() if type(k) is tuple and (
-            k == key or k == (n, name) or (k[0] == name and len(k) == n + 1))]
-    functor = index.get((len(key) - 1, key[0]))
-    return [index[key]] if functor is None else [index[key], functor]
+    if type(first) is not Struct:
+        return (key,)
+    functor = (len(first.args), first.name)
+    return (functor, (None,) + functor if key is None else key)
 
 
 _FAIL = object()  # stands in for a goal list: no solution, backtrack
@@ -770,7 +746,7 @@ def _bi_retract(s, args):
     candidates = s.db.clauses_for(ind, targs[0] if targs else None)
     if candidates is None:
         return
-    if not s.db.is_dynamic(ind):
+    if ind not in s.db.dynamic:
         raise EngineError("permission", "retract on static predicate %s/%d" % ind)
     for clause in list(candidates):
         m = s.mark()

@@ -484,8 +484,38 @@ def test_a_keyed_compound_call_reads_its_functors_clauses_without_a_key():
     assert ids(s, "p(f(Z), I)") == [1, 3, 5]
 
 
+def test_calls_with_new_functors_leave_the_index_at_its_clauses_buckets():
+    db = Database()
+    for src in ("known(a, 1).", "known(g(Y), 2).", "known(X, 3)."):
+        db.add_clause(parse_program(src).clauses[0])
+    assert len(db.clauses_for(("known", 2), Atom("a"))) == 2  # builds the index
+    buckets = len(db._index[("known", 2)])
+    for i in range(10_000):
+        assert db.clauses_for(("known", 2), Struct("f%d" % i, (Var("X"),))) == [
+            db.preds[("known", 2)][2]]
+    assert len(db._index[("known", 2)]) == buckets
+
+
+@pytest.mark.parametrize("index_first", [False, True])
+def test_a_clause_stored_twice_is_tried_and_retracted_once_per_copy(index_first):
+    s = solver_for(":- dynamic p/2.\n")
+    if index_first:
+        assert ids(s, "p(a, I)") == []
+    twice = Clause(parse_term("p(a, 1)"), Atom("true"))
+    s.db.add_clause(twice)
+    s.db.add_clause(Clause(parse_term("p(X, 2)"), Atom("true")))
+    s.db.add_clause(twice)
+    assert ids(s, "p(a, I)") == [1, 2, 1]
+    assert s.solve_first(parse_term("retract(p(a, 1))")) is not None
+    assert ids(s, "p(a, I)") == [2, 1]
+    assert s.solve_first(parse_term("retract(p(a, 1))")) is not None
+    assert ids(s, "p(a, I)") == [2]
+    assert s.solve_first(parse_term("retract(p(a, 1))")) is None
+    assert ids(s, "p(_, I)") == [2]
+
+
 FIRST_ARGS = ["a", "b", "'1'", "1", "2", "a-1", "a-'1'", "f(a, 1)", "[]",
-              "f(g(a))", "a-f(1)", "X", "f(X)", "a-X"]
+              "f(g(a))", "a-f(1)", "X", "f(X)", "a-X", "[a]", "[X|a]", "h(X)"]
 STEPS = st.tuples(
     st.sampled_from(["assert", "add_clause", "retract", "retract_all"]),
     st.sampled_from(FIRST_ARGS), st.sampled_from(FIRST_ARGS))

@@ -1,0 +1,34 @@
+"""Smoke runs of the experiment scripts the README lists, at small sizes, so
+that an API change that breaks one of them fails here."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (script and arguments, a regex for its summary line)
+RUNS = [
+    ("chord_static.py --sizes 8 --lookups 20",
+     r"^n=\s*8 lookups=20 answered=20 agree=20 max_hops=\d+ bound=3 ok$"),
+    ("chord_churn.py --nodes 8 --duration-ms 20000 --mean-session-ms 60000",
+     r"^kills=\d+ rejoins=\d+ lookups=\d+ answered=\d+ consistency=[01]\.\d{4}$"),
+    ("spanning_tree_sweep.py --graphs 2 --max-nodes 12",
+     r"^2/2 graphs valid$"),
+    ("zyzzyva_phase1.py --requests 4",
+     r"^tampered replies: 4/4 commits blocked$"),
+]
+
+
+@pytest.mark.parametrize("command, summary", RUNS, ids=[r[0].split()[0] for r in RUNS])
+def test_experiment_script_runs(command, summary):
+    script, *args = command.split()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert re.search(summary, out.stdout, re.MULTILINE), out.stdout

@@ -1,5 +1,6 @@
 import re
 import socket
+import struct
 import threading
 import time
 from collections import deque
@@ -7,11 +8,12 @@ from collections import deque
 import pytest
 
 from logicnode import tcp
+from logicnode.cli import EXIT_RUNTIME, main as cli_main
 from logicnode.reader import Clause, parse_program, parse_term, serialize
 from logicnode.runtime import NodeConfig, start_node
 from logicnode.tcp import INBOX_LIMIT, TcpTransport, split_hostport
 from logicnode.terms import Atom, Int, Struct
-from logicnode.wire import Envelope, StreamDecoder, encode_envelope
+from logicnode.wire import MAX_FRAME_BYTES, Envelope, StreamDecoder, encode_envelope
 
 from test_runtime import DEEP_SRC, HOSTILE_PAYLOADS
 
@@ -201,6 +203,30 @@ def test_a_dump_connection_answers_one_request_at_most(server, after, replied):
     send_raw(addr, ping_frame("r"))
     assert wait_for(lambda: node.metrics.delivered == 2)
     assert node.metrics.internal_errors == 0
+
+
+@pytest.mark.parametrize("reply", [
+    struct.pack(">I", MAX_FRAME_BYTES + 1),  # a length prefix over the limit
+    encode_envelope(Envelope("n", b"\xff\xfe")),  # a payload that is not UTF-8
+], ids=["oversized", "not_utf8"])
+def test_cli_dump_reports_a_broken_reply_as_a_runtime_error(reply, capsys):
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(4096)
+            conn.sendall(reply)
+
+    server_thread = threading.Thread(target=serve, daemon=True)
+    server_thread.start()
+    try:
+        addr = "127.0.0.1:%d" % listener.getsockname()[1]
+        assert cli_main(["dump", addr, "seen/1"]) == EXIT_RUNTIME
+    finally:
+        server_thread.join(5)
+        listener.close()
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_dump_endpoint_can_be_disabled():
