@@ -21,10 +21,14 @@ subterm, and (name, argument patterns) for a compound that holds a
 variable.  A call matches the head patterns against its arguments directly:
 a slot met for the first time takes the argument as it is, a ground pattern
 is compared or bound, and a compound pattern is matched argument by argument
-or, against an unbound variable, built.  The body goes on the goal list as
-a pattern with the call's slots; `,`, `;` and `->` are taken apart there,
-and a call builds its own arguments only when it runs.  A goal that is a
-term (a query, or a variable's value) is its own pattern: it holds no slot.
+or, against an unbound variable, built.  A fact's body `true` is proved
+there, as one step; another body goes on the goal list as a pattern with
+the call's slots, and `,`, `;` and `->` are taken apart there.  A call
+passes a slot's value or an atomic pattern as it is, and builds only a
+compound argument, or a variable for a slot's first use.  `is/2` and the
+comparisons build no expression: `arith_eval` reads their patterns over the
+slots.  A goal that is a term (a query, or a variable's value) is its own
+pattern: it holds no slot.
 
 `Solver._match` is the only unifier.  It takes patterns or plain terms, so
 head matching, `retract`, `Solver.unify` (`=`, `\=`, `member` and the
@@ -35,12 +39,12 @@ occurs check walks the compound and fails the unification if the variable
 is in it, so no cyclic term can be built and every walk of a term ends.
 `==` is unification that binds nothing: a trail that did not grow.
 
-Every builtin is an entry of one table, `BUILTINS` (a `Node` merges its own
-and `NodeConfig.extra_builtins` under it).  One that succeeds at most once
-(the tests, arithmetic, `assert`, the node's) is a plain function
-`fn(solver, args) -> bool`.  One with several solutions (`member/2`,
-`retract/1`) is a generator function: the solver tells it by the generator
-it returns, which yields once per solution.  An all-solutions builtin
+Every builtin but `is/2` and the comparisons is an entry of one table,
+`BUILTINS` (a `Node` merges its own and `NodeConfig.extra_builtins` under
+it).  One that succeeds at most once (the tests, `assert`, the node's) is a
+plain function `fn(solver, args) -> bool`.  One with several solutions
+(`member/2`, `retract/1`) is a generator function: the solver tells it by
+the generator it returns, which yields once per solution.  An all-solutions builtin
 (`findall`, `count`, `sendall`) is a tuple: the index of its goal argument,
 `record(solver, args)`, which returns one solution's note while its bindings
 hold, and `finish(solver, args, notes) -> bool`, called once they are undone.
@@ -142,7 +146,7 @@ class Database:
         """The clauses, in database order, that a call of `ind` whose first
         argument is `first` must try; None for an unknown predicate.
 
-        The list is live: callers iterate a copy.
+        A list is live, and callers iterate a copy; a merge is a new tuple.
         """
         clauses = self.preds.get(ind)
         if clauses is None or first is None:
@@ -167,8 +171,8 @@ class Database:
         for bucket in found:
             if bucket is not None:
                 if one is not None:  # merge them by their stamps
-                    return [c for _, c in sorted(chain.from_iterable(
-                        zip(b[1], b[0]) for b in found if b is not None))]
+                    return tuple(c for _, c in sorted(chain.from_iterable(
+                        zip(b[1], b[0]) for b in found if b is not None)))
                 one = bucket
         return () if one is None else one[0]
 
@@ -222,7 +226,10 @@ def _rename(clause: Clause) -> tuple:
         head = deref(clause.head)
         nslots, patterns = _patterns((head.args if type(head) is Struct else ())
                                      + (clause.body,))
-        code = clause.code = (nslots, patterns[:-1], patterns[-1])
+        body = patterns[-1]
+        if type(body) is Atom and body.name == "true":
+            body = _TRUE  # `_try_clauses` tells a fact by it
+        code = clause.code = (nslots, patterns[:-1], body)
     return code
 
 
@@ -259,14 +266,11 @@ def _patterns(terms: tuple) -> tuple:
 def _build(p, slots: list) -> Term:
     """The term that pattern `p` stands for; a slot met for the first time
     gets a fresh variable."""
-    tp = type(p)
-    if tp is int:
+    if type(p) is int:  # most calls: a slot's first use
         v = slots[p]
         if v is None:
             v = slots[p] = Var("_G")
         return v
-    if tp is not tuple:
-        return p
     done: list = []
     # patterns still to build; a (name, n) entry makes a compound of the
     # last n terms built
@@ -347,6 +351,7 @@ def _bucket_keys(clause: Clause) -> tuple:
     return (functor, (None,) + functor if key is None else key)
 
 
+_TRUE = Atom("true")  # the body of every compiled fact
 _FAIL = object()  # stands in for a goal list: no solution, backtrack
 _COMMIT = object()  # a goal that ends an if-then-else condition or a negation
 _COLLECT = object()  # a goal that records one solution of a collected goal
@@ -510,10 +515,7 @@ class Solver:
                 del cps[height:]
                 goals = rest
             elif arity == 2 and name == ";":
-                left = args[0]
-                if type(left) is int:
-                    left = slots[left]
-                left = deref(left)
+                left = deref(slots[args[0]] if type(args[0]) is int else args[0])
                 if type(left) is tuple and left[0] == "->" and len(left[1]) == 2:
                     cond = left[1]
                 elif type(left) is Struct and left.name == "->" and len(left.args) == 2:
@@ -532,9 +534,18 @@ class Solver:
             elif arity == 1 and name == "\\+":
                 cps.append((len(trail), None, rest))
                 goals = (args[0], slots, len(cps), (_COMMIT, None, len(cps) - 1, _FAIL))
+            elif arity == 2 and name in _ARITH:  # evaluated over the slots
+                test = _ARITH[name]
+                if test is None:  # R is E; R built, so backtracking unbinds it
+                    ok = self._match((_build(args[0], slots),),
+                                     (Int(arith_eval(args[1], slots)),), None)
+                else:
+                    ok = test(arith_eval(args[0], slots), arith_eval(args[1], slots))
+                goals = rest if ok else _FAIL
             else:
-                if tg is tuple:
-                    args = [_build(p, slots) for p in args]
+                if tg is tuple:  # build only compounds; a slot's first use makes a variable
+                    args = [(slots[p] or _build(p, slots)) if type(p) is int
+                            else _build(p, slots) if type(p) is tuple else p for p in args]
                 key = (name, arity)
                 builtin = builtins.get(key)
                 if type(builtin) is tuple:  # collect the solutions above a barrier
@@ -550,13 +561,16 @@ class Solver:
                     else:
                         goals = rest if got else _FAIL
                     continue
-                clauses = self.db.clauses_for(key, args[0] if args else None) or ()
-                goals = self._try_clauses(args, list(clauses), 0, rest, cps)
+                # a live bucket list is copied, so clauses asserted or retracted
+                # during the call do not change it; `tuple` keeps a merge as it is
+                clauses = tuple(self.db.clauses_for(key, args[0] if args else None) or ())
+                goals = self._try_clauses(args, clauses, 0, rest, cps)
 
-    def _try_clauses(self, args, candidates: list, i: int, rest, cps: list):
+    def _try_clauses(self, args, candidates: tuple, i: int, rest, cps: list):
         """The goal list that starts with the body of the first of
         `candidates[i:]` whose head matches `args`, or _FAIL.  A choicepoint
-        keeps the clauses after it."""
+        keeps the clauses after it.  A body `true` is proved here: it counts
+        its step, and the goal list is `rest`."""
         height = len(cps)
         n = len(candidates)
         trail = self.trail
@@ -568,7 +582,12 @@ class Solver:
             if self._match(heads, args, slots):
                 if i < n:
                     cps.append((mark, (args, candidates, i), rest))
-                return (body, slots, height, rest)
+                if body is not _TRUE:
+                    return (body, slots, height, rest)
+                self.steps += 1
+                if self.steps > self.limits.max_steps:
+                    raise EngineError("step_limit", "resolution step budget exhausted")
+                return rest
             self.undo(mark)
         return _FAIL
 
@@ -603,73 +622,85 @@ def _check_int(v: int) -> int:
     return v
 
 
-def arith_eval(t: Term) -> int:
-    """Value of an arithmetic expression, evaluated left to right.
+def arith_eval(p, slots: Optional[list]) -> int:
+    """Value of the arithmetic expression that pattern `p` stands for over
+    `slots`, evaluated left to right; a term is its own pattern, so `slots`
+    may then be None.  No term is built.
 
     Walks with an explicit stack, so the depth of an expression is not
     bounded by the interpreter's recursion limit.
     """
-    t = deref(t)
-    if type(t) is Int:  # most comparisons and many `is` goals
-        return t.value
+    if type(p) is int:  # a slot: None until its first use
+        p = slots[p]
+    if type(p) is Var:
+        p = deref(p)
+    if type(p) is Int:  # most comparisons and many `is` goals
+        return p.value
     values: list = []
-    # expressions still to evaluate; a (name, arity) entry applies an
+    # patterns still to evaluate; an (operator, arity) entry applies an
     # operator to the last `arity` values
-    todo: list = [t]
+    todo: list = [p]
     while todo:
         x = todo.pop()
-        if type(x) is tuple:
-            op, n = x
-            if n == 1:  # negation
-                values.append(_check_int(-values.pop()))
-                continue
-            y = values.pop()
-            v = values.pop()
-            if op == "+":
-                v += y
-            elif op == "-":
-                v -= y
-            elif op == "*":
-                v *= y
-            elif op == "//":
-                if y == 0:
-                    raise EngineError("arith", "division by zero")
-                q = abs(v) // abs(y)
-                v = -q if (v < 0) != (y < 0) else q
-            elif op == "mod":
-                if y == 0:
-                    raise EngineError("arith", "division by zero")
-                v %= y
-            else:
-                raise EngineError("type", "not an arithmetic expression")
-            values.append(_check_int(v))
-            continue
-        x = deref(x)
-        if isinstance(x, Int):
+        tx = type(x)
+        if tx is int:
+            x = slots[x]
+            tx = type(x)
+        if tx is Var:
+            x = deref(x)
+            tx = type(x)
+        if tx is Int:
             values.append(x.value)
-        elif isinstance(x, Var):
+            continue
+        if tx is tuple:
+            name, args = x
+            if type(args) is int:  # an operator, not a compound pattern
+                if args == 1:  # negation
+                    values.append(_check_int(-values.pop()))
+                    continue
+                y = values.pop()
+                v = values.pop()
+                if name == "+":
+                    v += y
+                elif name == "-":
+                    v -= y
+                elif name == "*":
+                    v *= y
+                elif name != "//" and name != "mod":
+                    raise EngineError("type", "not an arithmetic expression")
+                elif y == 0:
+                    raise EngineError("arith", "division by zero")
+                elif name == "mod":
+                    v %= y
+                else:  # truncates toward zero
+                    v = abs(v) // abs(y) * (-1 if (v < 0) != (y < 0) else 1)
+                values.append(_check_int(v))
+                continue
+        elif tx is Struct:
+            name, args = x.name, x.args
+        elif x is None or tx is Var:
             raise EngineError("type", "unbound variable in arithmetic")
-        elif isinstance(x, Struct) and len(x.args) == 1 and x.name == "-":
+        else:
+            raise EngineError("type", "not an arithmetic expression")
+        if len(args) == 1 and name == "-":
             todo.append(("-", 1))
-            todo.append(x.args[0])
-        elif isinstance(x, Struct) and len(x.args) == 2:
-            todo.append((x.name, 2))
-            todo.append(x.args[1])
-            todo.append(x.args[0])
+            todo.append(args[0])
+        elif len(args) == 2:
+            todo.append((name, 2))
+            todo.append(args[1])
+            todo.append(args[0])
         else:
             raise EngineError("type", "not an arithmetic expression")
     return values[0]
 
 
+# the arithmetic goals of arity 2, which `Solver.solutions` evaluates over
+# the goal's slots: a comparison's test, None for `is`
+_ARITH = {"is": None, "=:=": _op.eq, "<": _op.lt, ">": _op.gt, "=<": _op.le,
+          ">=": _op.ge}
+
+
 # --- builtins that succeed at most once: fn(solver, args) -> bool ---
-
-
-def _bi_true(s, args):
-    return True
-
-
-def _bi_fail(s, args):
-    return False
 
 
 def _bi_unify(s, args):
@@ -691,16 +722,6 @@ def _bi_not_unifiable(s, args):
     ok = s.unify(args[0], args[1])
     s.undo(m)
     return not ok
-
-
-def _bi_is(s, args):
-    return s.unify(args[0], Int(arith_eval(args[1])))
-
-
-def _cmp(op):
-    def bi(s, args):
-        return op(arith_eval(args[0]), arith_eval(args[1]))
-    return bi
 
 
 def _split_clause(t: Term) -> Clause:
@@ -748,7 +769,7 @@ def _bi_retract(s, args):
         return
     if ind not in s.db.dynamic:
         raise EngineError("permission", "retract on static predicate %s/%d" % ind)
-    for clause in list(candidates):
+    for clause in tuple(candidates):
         m = s.mark()
         nslots, heads, body = _rename(clause)
         slots = [None] * nslots
@@ -760,18 +781,12 @@ def _bi_retract(s, args):
 
 
 BUILTINS = {
-    ("true", 0): _bi_true,
-    ("fail", 0): _bi_fail,
-    ("false", 0): _bi_fail,
+    ("true", 0): lambda s, args: True,
+    ("fail", 0): lambda s, args: False,
+    ("false", 0): lambda s, args: False,
     ("=", 2): _bi_unify,
     ("==", 2): _bi_identical,
     ("\\=", 2): _bi_not_unifiable,
-    ("is", 2): _bi_is,
-    ("=:=", 2): _cmp(_op.eq),
-    ("<", 2): _cmp(_op.lt),
-    (">", 2): _cmp(_op.gt),
-    ("=<", 2): _cmp(_op.le),
-    (">=", 2): _cmp(_op.ge),
     ("assert", 1): _bi_assert,
     ("member", 2): _bi_member,
     ("retract", 1): _bi_retract,

@@ -3,8 +3,10 @@
 Events (message deliveries, alarm firings, injected envelopes) live in one
 priority queue ordered by (due time, enqueue sequence); processing an event
 dispatches it on the destination node and appends one trace record, which
-holds the canonical text of the term the node read.  Same seed and scenario
-always give a byte-identical trace.
+holds the canonical text of the term the node read.  When `serialize` wrote
+the payload (a node's `send` and `alarm`, `inject_term`), that text is the
+payload itself; a raw `inject` or a frame a corrupt hook rewrote is written
+out again.  Same seed and scenario always give a byte-identical trace.
 """
 
 from __future__ import annotations
@@ -118,10 +120,11 @@ class SimNetwork:
                 self.corrupt_dropped += 1
                 return
         due = self.clock + self.links.latency(frm, to)
-        heapq.heappush(self._heap, (due, next(self._seq), to, env))
+        heapq.heappush(self._heap, (due, next(self._seq), to, env, hook is None))
 
     def schedule_alarm(self, address: str, delay_ms: float, env: Envelope) -> None:
-        heapq.heappush(self._heap, (self.clock + delay_ms, next(self._seq), address, env))
+        heapq.heappush(self._heap, (self.clock + delay_ms, next(self._seq), address,
+                                    env, True))
 
     # --- driving ---
 
@@ -139,9 +142,13 @@ class SimNetwork:
             heapq.heapify(self._heap)
 
     def inject(self, at: float, to: str, env: Envelope) -> None:
+        self._inject(at, to, env, False)
+
+    def _inject(self, at: float, to: str, env: Envelope, written: bool) -> None:
+        """`written`: `serialize` wrote the payload, so it is the trace text."""
         if at < self.clock:
             raise ValueError("cannot inject into the past")
-        heapq.heappush(self._heap, (at, next(self._seq), to, env))
+        heapq.heappush(self._heap, (at, next(self._seq), to, env, written))
 
     def inject_term(self, at: float, to: str, term: Term, sender: str = "injector",
                     keystore=None) -> None:
@@ -149,12 +156,12 @@ class SimNetwork:
         mac = None
         if keystore is not None:
             mac = keystore.sign(sender, to, sender.encode("utf-8"), payload)
-        self.inject(at, to, Envelope(sender, payload, mac, "network"))
+        self._inject(at, to, Envelope(sender, payload, mac, "network"), True)
 
     def step(self) -> Optional[TraceRecord]:
         if not self._heap:
             return None
-        due, seq, to, env = heapq.heappop(self._heap)
+        due, seq, to, env, written = heapq.heappop(self._heap)
         self.clock = due
         node = self.nodes.get(to)
         if node is None:
@@ -162,7 +169,8 @@ class SimNetwork:
             rec = TraceRecord(due, seq, to, env.origin, "", "dead", 0)
         else:
             outcome, term, sends = node.dispatch(env)
-            text = "" if term is None else term_text(term)
+            text = ("" if term is None else env.payload.decode() if written
+                    else term_text(term))
             rec = TraceRecord(due, seq, to, env.origin, text, outcome, sends)
         self.trace.append(rec)
         return rec

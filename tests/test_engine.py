@@ -1,3 +1,4 @@
+import operator
 import time
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from logicnode import engine
 from logicnode.engine import Database, EngineError, SolveLimits, Solver, _first_arg_key
 from logicnode.reader import Clause, parse_program, parse_term, term_text
-from logicnode.terms import Atom, Int, Struct, Var, list_parts, mklist
+from logicnode.terms import INT64_MAX, INT64_MIN, Atom, Int, Struct, Var, list_parts, mklist
 from term_gen import CYCLIC, disagreement, substitute, unify_terms
 
 
@@ -258,6 +259,13 @@ def test_arithmetic():
     assert term_text(first_answer("", "X is -(3 - 5)")["X"]) == "2"
 
 
+def test_is_binds_a_variable_it_meets_first_again_after_backtracking():
+    src = ("t(L) :- findall(Y, (member(X, [1, 2, 3]), Y is X * 10), L).\n"
+           "u(Z) :- member(X, [1, 2]), Y is X, Y > 1, Z = Y.\n")
+    assert term_text(first_answer(src, "t(L)")["L"]) == "[10,20,30]"
+    assert term_text(first_answer(src, "u(Z)")["Z"]) == "2"
+
+
 def test_comparison_operators():
     assert first_answer("", "1 < 2") is not None
     assert first_answer("", "2 =< 2") is not None
@@ -283,6 +291,117 @@ def test_arith_unbound_is_error():
     with pytest.raises(EngineError) as e:
         first_answer("", "X is Y + 1")
     assert e.value.kind == "type"
+
+
+# Arithmetic: `is/2` and each comparison, run as a compiled clause body
+# (over slots) and posed as a term, against a reference evaluation.  An
+# expression is ("int", v), ("var", name), ("atom", name), ("neg", e) or
+# (operator, e1, e2); X and Y are bound, Z is not.
+INT64_EDGES = [0, 1, -1, 2, -2, 7, 2**32, -(2**32), INT64_MAX, INT64_MAX - 1,
+               INT64_MIN, INT64_MIN + 1]
+ARITH_LEAVES = st.one_of(
+    st.sampled_from(INT64_EDGES).map(lambda v: ("int", v)),
+    st.integers(INT64_MIN, INT64_MAX).map(lambda v: ("int", v)),
+    st.sampled_from(["X", "Y", "Z"]).map(lambda n: ("var", n)),
+    st.sampled_from(["foo", "[]"]).map(lambda n: ("atom", n)))
+ARITH_EXPRS = st.recursive(ARITH_LEAVES, lambda inner: st.one_of(
+    st.tuples(st.sampled_from(["+", "-", "*", "//", "mod"]), inner, inner),
+    st.tuples(st.just("neg"), inner)), max_leaves=8)
+COMPARISONS = {"=:=": operator.eq, "<": operator.lt, ">": operator.gt,
+               "=<": operator.le, ">=": operator.ge}
+
+
+def _arith_term(e, env: dict):
+    kind = e[0]
+    if kind == "int":
+        return Int(e[1])
+    if kind in ("var", "atom"):
+        return env[e[1]] if kind == "var" else Atom(e[1])
+    return Struct("-" if kind == "neg" else kind,
+                  tuple(_arith_term(a, env) for a in e[1:]))
+
+
+def _arith_reference(e, values: dict) -> int:
+    """Python's value of `e`, or the engine's error for the first fault met
+    reading left to right."""
+    kind = e[0]
+    if kind == "int":
+        return e[1]
+    if kind == "var":
+        if e[1] not in values:
+            raise EngineError("type", "unbound variable in arithmetic")
+        return values[e[1]]
+    if kind == "atom":
+        raise EngineError("type", "not an arithmetic expression")
+    a = [_arith_reference(x, values) for x in e[1:]]
+    if kind in ("//", "mod") and a[1] == 0:
+        raise EngineError("arith", "division by zero")
+    v = {"neg": lambda: -a[0], "+": lambda: a[0] + a[1], "-": lambda: a[0] - a[1],
+         "*": lambda: a[0] * a[1], "mod": lambda: a[0] % a[1],
+         "//": lambda: abs(a[0]) // abs(a[1]) * (-1 if (a[0] < 0) != (a[1] < 0) else 1),
+         }[kind]()
+    if not INT64_MIN <= v <= INT64_MAX:
+        raise EngineError("arith", "integer overflow")
+    return v
+
+
+def _arith_goals(e1, e2, env: dict) -> list:
+    """`R is E1`, `X is E1`, then `E1 op E2` for each comparison."""
+    t1, t2 = _arith_term(e1, env), _arith_term(e2, env)
+    return ([Struct("is", (env["R"], t1)), Struct("is", (env["X"], t1))]
+            + [Struct(op, (t1, t2)) for op in COMPARISONS])
+
+
+def _or_error(run):
+    """run(), or the (kind, message) of the EngineError it raises."""
+    try:
+        return run()
+    except EngineError as e:
+        return (e.kind, e.message)
+
+
+def _arith_expected(e1, e2, x: int, y: int, i: int):
+    v = _arith_reference(e1, {"X": x, "Y": y})
+    if i == 0:
+        return str(v)
+    if i == 1:
+        return "yes" if v == x else None
+    test = list(COMPARISONS.values())[i - 2]
+    return "yes" if test(v, _arith_reference(e2, {"X": x, "Y": y})) else None
+
+
+def _arith_answer(answer, i: int):
+    """R's value for goal 0, "yes" for another goal that holds, None for one
+    that fails."""
+    return None if answer is None else term_text(answer["R"]) if i == 0 else "yes"
+
+
+@settings(max_examples=300, deadline=None)
+@given(ARITH_EXPRS, ARITH_EXPRS, st.sampled_from(INT64_EDGES), st.sampled_from(INT64_EDGES))
+@example(("+", ("//", ("int", 1), ("int", 0)), ("atom", "foo")), ("int", 1), 0, 0)
+@example(("+", ("atom", "foo"), ("//", ("int", 1), ("int", 0))), ("int", 1), 0, 0)
+@example(("neg", ("var", "X")), ("-", ("var", "Y"), ("int", 1)), INT64_MIN, INT64_MIN)
+@example(("*", ("var", "Z"), ("atom", "foo")), ("var", "X"), 1, 1)
+def test_arithmetic_over_clause_slots_agrees_with_term_goals(e1, e2, x, y):
+    expected = [_or_error(lambda: _arith_expected(e1, e2, x, y, i)) for i in range(7)]
+    # compiled: X is bound by the head and Y by the body, whose last goal is the one tested
+    env = {n: Var(n) for n in "XYZR"}
+    db = Database()
+    for i, goal in enumerate(_arith_goals(e1, e2, env)):
+        db.add_clause(Clause(Struct("c%d" % i, (env["X"], env["R"])),
+                             Struct(",", (Struct("=", (env["Y"], Int(y))), goal))))
+    s = Solver(db)
+    assert [_or_error(lambda: _arith_answer(
+        s.solve_first(Struct("c%d" % i, (Int(x), Var("R")))), i)) for i in range(7)] == expected
+    assert s.trail == []
+    # a term: the query binds X and Y, then runs the goal
+    got = []
+    for i in range(7):
+        env = {n: Var(n) for n in "XYZR"}
+        query = Struct(",", (Struct("=", (env["X"], Int(x))), Struct(",", (
+            Struct("=", (env["Y"], Int(y))), _arith_goals(e1, e2, env)[i]))))
+        got.append(_or_error(lambda: _arith_answer(Solver(Database()).solve_first(query), i)))
+    assert got == expected
 
 
 def test_unbound_goal_is_error():
@@ -401,6 +520,15 @@ def test_retract_while_a_call_iterates_the_same_bucket():
         parse_term("retract(p(k, I)), retract(p(k, 2))"))]
     assert got == [1]
     assert ids(s, "p(k, I)") == []
+
+
+def test_a_clause_asserted_during_a_call_that_merges_two_buckets_is_not_tried():
+    s = solver_for(":- dynamic p/2.\np(k, 1). p(_, 2).\n")
+    assert type(s.db.clauses_for(("p", 2), Atom("k"))) is tuple  # a merge
+    got = s.solve_first(parse_term(
+        "findall(I, (p(k, I), assert(p(k, 9)), assert(p(_, 8))), L)"))
+    assert term_text(got["L"]) == "[1,2]"
+    assert ids(s, "p(k, I)") == [1, 2, 9, 8, 9, 8]
 
 
 def _best_retract_last_s(n: int) -> float:

@@ -179,6 +179,15 @@ def test_serialize_round_trip(t):
     assert variant_eq(t, back)
 
 
+# the simulator's trace takes a payload that `serialize` wrote as the text
+# of the term it reads
+@settings(max_examples=300, deadline=None)
+@given(terms())
+def test_serialized_text_is_the_canonical_text_of_the_term_read_back(t):
+    payload = serialize(t)
+    assert term_text(deserialize(payload)) == payload.decode()
+
+
 def test_deserialize_rejects_bad_utf8():
     with pytest.raises(ReaderError):
         deserialize(b"\xff\xfe")

@@ -8,6 +8,7 @@ import pytest
 from logicnode.reader import parse_program, parse_term
 from logicnode.runtime import NodeConfig
 from logicnode.sim import LinkModel, SimNetwork
+from logicnode.wire import Envelope, decode_frame, encode_envelope
 
 RELAY_SRC = """
 :- event token/1.
@@ -103,6 +104,23 @@ def test_corrupt_hook_and_drop_count():
     net.run_to_idle()
     # the padded frame decodes but its payload no longer parses
     assert net.nodes["b"].metrics.decode_errors == 1
+
+
+def test_a_frame_a_corrupt_hook_rewrote_shows_canonical_text():
+    def respace(frame):  # same term, written with spaces
+        env, _ = decode_frame(frame)
+        payload = env.payload.replace(b"(", b"( ").replace(b")", b" )")
+        return encode_envelope(Envelope(env.sender, payload, env.mac, env.origin))
+
+    links = LinkModel()
+    links.set_corrupt("a", "b", respace)
+    net = SimNetwork(seed=0, links=links)
+    ring(net, ["a", "b", "c"])
+    net.inject_term(0, "a", parse_term("token(2)"))
+    net.run_to_idle()
+    assert [(r.node, r.term, r.outcome) for r in net.trace] == [
+        ("a", "token(2)", "success"), ("b", "token(1)", "success"),
+        ("c", "token(0)", "success")]
 
 
 def test_kill_purges_alarms_but_not_in_flight():

@@ -266,7 +266,7 @@ def unread_dump_request(addr: str) -> socket.socket:
 
 
 def test_a_dump_reply_that_is_never_read_delays_no_ping():
-    addr, node, transport, _ = big_dump_server()
+    addr, node, transport, loop = big_dump_server()
     client = unread_dump_request(addr)
     try:
         time.sleep(0.2)  # the node reads the request first
@@ -277,10 +277,11 @@ def test_a_dump_reply_that_is_never_read_delays_no_ping():
     finally:
         client.close()
         transport.stop()
+        loop.join(timeout=5)  # its warning for the closed client is logged by now
 
 
 def test_a_dump_client_that_closes_before_reading_costs_at_most_one_warning(caplog):
-    addr, node, transport, _ = big_dump_server()
+    addr, node, transport, loop = big_dump_server()
     try:
         with caplog.at_level("WARNING", logger="logicnode.tcp"):
             client = unread_dump_request(addr)
@@ -294,6 +295,7 @@ def test_a_dump_client_that_closes_before_reading_costs_at_most_one_warning(capl
         assert transport._queued_bytes == 0
     finally:
         transport.stop()
+        loop.join(timeout=5)
 
 
 def test_stop_closes_a_connection_whose_reply_is_still_queued():
