@@ -48,10 +48,10 @@ RUNS = (
 def count_steps(total: list) -> None:
     """Add the steps of every `Solver` query to total[0]."""
     for entry in ("solve_first", "solve_all"):
-        def counted(solver, goal, _query=getattr(Solver, entry)):
+        def counted(solver, *args, _query=getattr(Solver, entry), **kwargs):
             before = solver.steps
             try:
-                return _query(solver, goal)
+                return _query(solver, *args, **kwargs)
             finally:
                 total[0] += solver.steps - before
         setattr(Solver, entry, counted)

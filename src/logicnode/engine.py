@@ -593,8 +593,13 @@ class Solver:
 
     # --- public entry points ---
 
-    def solve_first(self, goal: Term) -> Optional[dict]:
-        qvars = [v for v in term_vars(goal) if v.name != "_"]
+    def solve_first(self, goal: Term, answer: bool = True) -> Optional[dict]:
+        """The first solution of `goal` as {variable name: a copy of its
+        value}, or None when it has none; its bindings are undone either way.
+        With `answer` False the solution is `{}`: a caller that only asks
+        whether one exists (a node's dispatch, `SimNetwork.holds`) pays for
+        no walk of the goal's variables and no copy."""
+        qvars = [v for v in term_vars(goal) if v.name != "_"] if answer else ()
         m = self.mark()
         try:
             for _ in self.solutions(goal):

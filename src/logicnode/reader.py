@@ -3,7 +3,8 @@
 The surface syntax is a small Prolog subset: clauses and directives with the
 usual operators, `%` line comments, quoted atoms, bracket lists.  The wire
 form is deterministic canonical text: every compound except lists is written
-functionally, atoms are quoted unless they look like plain identifiers and
+functionally, atoms are quoted unless they look like plain identifiers or
+are `[]`, `!` or `;` (a compound named `[]` is written `'[]'(...)`), and
 variables are renamed `_G1`, `_G2`, ... in order of first appearance.
 The same reader parses program text and every payload a node receives.
 
@@ -446,7 +447,8 @@ def term_text(t: Term, names: Optional[dict] = None) -> str:
                 todo.append("|")
             _push_args(todo, items)
         elif isinstance(x, Struct):
-            out.append(_atom_text(x.name))
+            # `[](` would read as the empty list and then trailing text
+            out.append("'[]'" if x.name == "[]" else _atom_text(x.name))
             out.append("(")
             todo.append(")")
             _push_args(todo, x.args)

@@ -137,7 +137,7 @@ class Node:
         self._envelope = envelope
         self.solver.steps = 0  # the budget is per dispatch; solve_first empties the trail
         try:
-            if self.solver.solve_first(term) is not None:
+            if self.solver.solve_first(term, answer=False) is not None:
                 return "success", term
             self.metrics.handler_failures += 1
             return "failure", term

@@ -203,7 +203,7 @@ class SimNetwork:
     def holds(self, address: str, goal: str) -> bool:
         node = self.nodes[address]
         solver = Solver(node.db, builtins=node.builtins)
-        return solver.solve_first(parse_term(goal)) is not None
+        return solver.solve_first(parse_term(goal), answer=False) is not None
 
     def trace_lines(self) -> list:
         return [r.line() for r in self.trace]

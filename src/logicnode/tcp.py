@@ -14,10 +14,14 @@ most that many plus those of one read (`CHUNK_BYTES`).
 One pass of the loop fires the due alarms and dispatches the inbox batch.
 `send` opens or reuses the peer's cached connection (least recently used
 evicted), so an unreachable peer still fails the handler's send, but it
-only queues the frame.  After the pass, and at once when a peer's queue
-reaches `CHUNK_BYTES`, the peer's non-blocking socket takes what it can of
-its queue in one write; the loop's `select` waits for `EVENT_WRITE` for the
-rest, so no handler waits on a peer.  A failed write is retried once on a
+only queues the frame.  As soon as a peer's queue holds `WRITE_BYTES`, and
+for every peer after the pass, the peer's non-blocking socket takes what it
+can of its queue in one write; the loop's `select` waits for `EVENT_WRITE`
+for the rest, and no other write is tried meanwhile, so no handler waits on
+a peer.  So the replies to a long batch start to leave while it runs, and
+a peer that waits for them can send more.  Outbound connections set
+`TCP_NODELAY`: without it Nagle's algorithm holds back each small write
+until the last one is acknowledged.  A failed write is retried once on a
 new connection from the first frame not taken whole; then the frames are
 dropped and logged.  When the queues of all peers pass `QUEUE_LIMIT`
 bytes, the longest is dropped with its connection, and logged.
@@ -55,7 +59,8 @@ log = logging.getLogger("logicnode.tcp")
 DUMP_FUNCTOR = "$dump"
 POLL_S = 0.2  # longest wait in select, so that stop() is seen promptly
 INBOX_LIMIT = 1024  # envelopes; pingpong keeps at most 128 in flight
-CHUNK_BYTES = 65536  # one read, and the most queued for a peer before a write
+CHUNK_BYTES = 65536  # one read
+WRITE_BYTES = 2048  # a peer queue this long is written without waiting for the pass to end
 MAX_CONNECTIONS = 4096  # inbound connections, and cached outbound ones
 CONNECT_TIMEOUT_S = 5.0  # the longest wait for a connect
 QUEUE_LIMIT = 2 * MAX_FRAME_BYTES  # bytes queued for all peers together
@@ -129,10 +134,10 @@ class TcpTransport:
 
     def _enqueue(self, peer, frame: bytes) -> None:
         """Queue frame for peer: an address, or the connection of a `$dump`."""
-        queue = self._queued.setdefault(peer, [bytearray(), 0, False])[0]
-        queue += frame
+        queued = self._queued.setdefault(peer, [bytearray(), 0, False])
+        queued[0] += frame
         self._queued_bytes += len(frame)
-        if len(queue) >= CHUNK_BYTES > len(queue) - len(frame):  # it just filled a chunk
+        if len(queued[0]) >= WRITE_BYTES and not queued[2]:  # not waiting for EVENT_WRITE
             self._pump(peer)
         while self._queued_bytes > QUEUE_LIMIT:
             self._drop(max(self._queued, key=lambda p: len(self._queued[p][0])),
@@ -192,6 +197,7 @@ class TcpTransport:
             except (OSError, ValueError) as e:  # ValueError: not host:port
                 raise LinkError("cannot connect to %s: %s" % (peer, e))
             sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self.connections_opened += 1
             if len(self._conns) >= MAX_CONNECTIONS:
                 self._evict(next(iter(self._conns)))  # the least recently used

@@ -22,6 +22,8 @@ FLAG_SIGNED = 0x01
 MAX_FRAME_BYTES = 16 * 1024 * 1024  # largest length a stream may announce
 
 _LENGTH = struct.Struct(">I")
+_HEAD = struct.Struct(">IBH")  # length, flags, sender length
+_TAG = struct.Struct(">BH")  # flags and sender length, or algorithm id and MAC length
 
 
 class FrameError(Exception):
@@ -40,19 +42,20 @@ class Envelope:
 
 def encode_envelope(env: Envelope) -> bytes:
     sender = env.sender.encode("utf-8")
-    flags = FLAG_SIGNED if env.mac is not None else 0
-    body = bytes([flags]) + struct.pack(">H", len(sender)) + sender
-    if env.mac is not None:
-        body += bytes([ALG_HMAC_SHA256]) + struct.pack(">H", len(env.mac)) + env.mac
-    body += env.payload
-    return struct.pack(">I", len(body)) + body
+    mac = env.mac
+    if mac is None:
+        return (_HEAD.pack(3 + len(sender) + len(env.payload), 0, len(sender))
+                + sender + env.payload)
+    return b"".join((
+        _HEAD.pack(6 + len(sender) + len(mac) + len(env.payload), FLAG_SIGNED,
+                   len(sender)),
+        sender, _TAG.pack(ALG_HMAC_SHA256, len(mac)), mac, env.payload))
 
 
 def decode_body(body: bytes) -> Envelope:
     if len(body) < 3:
         raise FrameError("frame body too short")
-    flags = body[0]
-    slen = struct.unpack(">H", body[1:3])[0]
+    flags, slen = _TAG.unpack_from(body)
     pos = 3
     if len(body) < pos + slen:
         raise FrameError("truncated sender")
@@ -65,8 +68,7 @@ def decode_body(body: bytes) -> Envelope:
     if flags & FLAG_SIGNED:
         if len(body) < pos + 3:
             raise FrameError("truncated signature header")
-        alg = body[pos]
-        mlen = struct.unpack(">H", body[pos + 1:pos + 3])[0]
+        alg, mlen = _TAG.unpack_from(body, pos)
         pos += 3
         if len(body) < pos + mlen:
             raise FrameError("truncated MAC")
@@ -80,7 +82,7 @@ def decode_frame(data: bytes) -> Tuple[Envelope, int]:
     """Decode one frame from the head of data; returns (envelope, bytes used)."""
     if len(data) < 4:
         raise FrameError("truncated length prefix")
-    total = struct.unpack(">I", data[:4])[0]
+    total = _LENGTH.unpack_from(data)[0]
     if len(data) < 4 + total:
         raise FrameError("truncated frame")
     return decode_body(data[4:4 + total]), 4 + total

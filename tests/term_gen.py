@@ -36,7 +36,8 @@ def terms(max_leaves: int = 20):
         st.one_of(atoms, ints, variables),
         lambda inner: st.one_of(
             st.builds(lambda n, args: Struct(n, tuple(args)),
-                      plain_atoms, st.lists(inner, min_size=1, max_size=4)),
+                      st.one_of(plain_atoms, quoted_atoms, st.just("[]")),
+                      st.lists(inner, min_size=1, max_size=4)),
             st.builds(mklist, st.lists(inner, min_size=0, max_size=4)),
         ),
         max_leaves=max_leaves)

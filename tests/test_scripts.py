@@ -1,5 +1,7 @@
 """Smoke runs of the experiment scripts the README lists, at small sizes, so
-that an API change that breaks one of them fails here."""
+that an API change that breaks one of them fails here, and the pinned output
+of `reader_digest.py`, so that a change to what the reader makes of its
+corpus fails here too."""
 
 import os
 import re
@@ -32,3 +34,23 @@ def test_experiment_script_runs(command, summary):
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stdout + out.stderr
     assert re.search(summary, out.stdout, re.MULTILINE), out.stdout
+
+
+# what scripts/reader_digest.py prints; a change that alters what the reader
+# makes of an input on purpose updates these lines and says why
+PINNED_READER_OUTCOMES = """\
+outcomes 5515280256cdcd300f31acafa467bb373fd88e3c8ee6eab7d00826fd420d4ad4
+canonical parse_term    read         20000
+programs  parse_program read         6
+random    parse_program read         22607
+random    parse_program reader_error 277393
+random    parse_term    read         21782
+random    parse_term    reader_error 278218
+"""
+
+
+def test_reader_digest_prints_the_pinned_outcomes():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "reader_digest.py")],
+                         env=env, capture_output=True, text=True, timeout=300, check=True)
+    assert out.stdout == PINNED_READER_OUTCOMES

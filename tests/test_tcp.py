@@ -491,19 +491,22 @@ def test_stop_closes_every_socket():
     TcpTransport(addr).stop()  # the address is free again
 
 
-# --- sends are queued per peer and written after the pass, as the socket takes them ---
+# --- sends are queued per peer and written once tcp.WRITE_BYTES are queued and
+# after the pass, as the socket takes them ---
 
 PONG_SRC = """
-:- event ping/2, go/1, fan/3, flood/1, later/1.
+:- event ping/2, go/1, fan/3, flood/1, burst/1, later/1.
 :- alarm beep/1.
 ping(From, Pad) :- send(From, pong(Pad)).
 go(To) :- send(To, a), send(To, b), send(To, c).
 fan(P, Q, R) :- send(P, x), send(Q, x), send(R, x).
 flood(To) :- pad(X), sendall(To, n(I), blob(I, X)), hold.
+burst(To) :- sendall(To, k(I), pong(I)), hold.
 later(To) :- alarm(beep(To), 20).
 beep(To) :- send(To, beeped).
 pad(%s).
-""" % ("x" * 2000) + "".join("n(%d).\n" % i for i in range(40))
+""" % ("x" * 2000) + "".join("n(%d).\n" % i for i in range(40)) + "".join(
+    "k(%d).\n" % i for i in range(100))
 
 
 def raw_listener():
@@ -528,15 +531,21 @@ def read_payloads(listener, n: int) -> list:
     return got
 
 
-def test_replies_to_one_batch_leave_in_one_write(monkeypatch):
+def test_replies_to_one_batch_take_a_write_per_write_bytes_and_one_per_pass(monkeypatch):
     writes = []  # each pump is one socket write
-    pump = TcpTransport._pump
+    passes = [0]  # passes that dispatch something
+    pump, poll = TcpTransport._pump, TcpTransport._poll
 
     def counting(self, peer):
         writes.append(len(self._queued[peer][0]))
         return pump(self, peer)
 
+    def counting_passes(self, timeout):
+        poll(self, timeout)
+        passes[0] += bool(self._inbox)
+
     monkeypatch.setattr(TcpTransport, "_pump", counting)
+    monkeypatch.setattr(TcpTransport, "_poll", counting_passes)
     listener, client = raw_listener()
     addr, node, transport, _ = start_server(PONG_SRC)
     try:
@@ -545,7 +554,10 @@ def test_replies_to_one_batch_leave_in_one_write(monkeypatch):
             for i in range(100))
         send_raw(addr, pings)
         assert read_payloads(listener, 100) == [b"pong(%d)" % i for i in range(100)]
-        assert len(writes) < 10, writes  # one write per reply before batching
+        queued = sum(len(encode_envelope(Envelope(addr, b"pong(%d)" % i)))
+                     for i in range(100))
+        # one write per reply, before batching, took 100
+        assert len(writes) <= queued // tcp.WRITE_BYTES + passes[0], (writes, passes)
     finally:
         listener.close()
         transport.stop()
@@ -567,32 +579,53 @@ def test_a_pass_that_only_fires_alarms_writes_its_sends(monkeypatch):
         transport.stop()
 
 
-def test_a_handler_writes_once_a_peer_has_a_chunk_queued():
-    # 40 blobs of 2 KB pass tcp.CHUNK_BYTES; the handler then holds until
-    # the peer has read the first of them
+@pytest.mark.parametrize("event, firsts", [
+    ("flood", [b"blob(%d" % i for i in range(40)]),  # 40 blobs of 2 KB
+    ("burst", [b"pong(%d)" % i for i in range(100)]),  # about 3 KiB of pongs
+], ids=["flood", "burst"])
+def test_a_handler_writes_before_its_pass_ends_once_write_bytes_are_queued(event, firsts):
+    # the handler's sends pass tcp.WRITE_BYTES; it then holds until the
+    # peer has read some of them
     released = threading.Event()
     listener, peer = raw_listener()
     addr = fresh_addr()
     transport = TcpTransport(addr)
-    node = start_node(NodeConfig(addr, parse_program(PONG_SRC), extra_builtins={
+    start_node(NodeConfig(addr, parse_program(PONG_SRC), extra_builtins={
         ("hold", 0): lambda solver, args: released.wait(10)}), transport)
     transport.start()
     try:
-        send_raw(addr, encode_envelope(Envelope("t", b"flood('%s')" % peer.encode())))
+        send_raw(addr, encode_envelope(Envelope("t", b"%s('%s')" % (
+            event.encode(), peer.encode()))))
         conn, _ = listener.accept()
         with conn:
             conn.settimeout(3)
             dec = StreamDecoder()
             got = dec.feed(conn.recv(65536))  # times out if nothing is written yet
             released.set()
-            while len(got) < 40:
+            while len(got) < len(firsts):
                 got += dec.feed(conn.recv(65536))
-        assert [env.payload.split(b",")[0] for env in got] == [
-            b"blob(%d" % i for i in range(40)]
+        assert [env.payload.split(b",")[0] for env in got] == firsts
+        assert sum(map(len, map(encode_envelope, got))) > tcp.WRITE_BYTES
     finally:
         released.set()
         listener.close()
         transport.stop()
+
+
+def test_every_cached_outbound_socket_sets_tcp_nodelay():
+    addr, node, transport, _ = start_server(FWD_SRC)
+    peers = [start_server() for _ in range(2)]
+    try:
+        for peer_addr, peer, _, _ in peers:
+            send_raw(addr, encode_envelope(Envelope("t", b"fwd('%s')" % peer_addr.encode())))
+            assert wait_for(lambda: peer.metrics.delivered == 1)
+        socks = list(transport._conns.values())
+        assert len(socks) == 2
+        assert all(s.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) for s in socks)
+    finally:
+        transport.stop()
+        for _, _, peer_transport, _ in peers:
+            peer_transport.stop()
 
 
 class _BreaksAfter:

@@ -2,13 +2,13 @@ import struct
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logicnode.auth import ALG_HMAC_SHA256
 from logicnode.wire import (
-    MAX_FRAME_BYTES, Envelope, FrameError, StreamDecoder, decode_frame,
-    encode_envelope)
+    MAX_FRAME_BYTES, Envelope, FrameError, StreamDecoder, decode_body,
+    decode_frame, encode_envelope)
 
 
 def test_unsigned_frame_layout():
@@ -143,11 +143,34 @@ def test_frames_before_a_bad_one_are_kept_at_every_split(bad):
         assert [e.payload for e in got] == [b"ping(ok)"], cut
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.text(max_size=16), st.binary(max_size=64),
-       st.none() | st.binary(min_size=1, max_size=40))
-def test_round_trip_property(sender, payload, macbytes):
-    env, used = decode_frame(encode_envelope(Envelope(sender, payload, macbytes)))
-    assert env.sender == sender
-    assert env.payload == payload
-    assert env.mac == macbytes
+def reference_frame(sender: str, payload: bytes, mac) -> bytes:
+    """The frame of the README's layout, written one field at a time."""
+    name = sender.encode("utf-8")
+    body = bytearray()
+    body.append(0x01 if mac is not None else 0x00)  # flags, bit 0: signed
+    body += len(name).to_bytes(2, "big") + name
+    if mac is not None:
+        body.append(ALG_HMAC_SHA256)
+        body += len(mac).to_bytes(2, "big") + mac
+    body += payload
+    return len(body).to_bytes(4, "big") + bytes(body)
+
+
+# each frame is the reference encoder's, decodes back, and decodes unsigned
+# when it names another algorithm
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=16), st.binary(max_size=64), st.none() | st.binary(max_size=40),
+       st.integers(0, 255).filter(lambda alg: alg != ALG_HMAC_SHA256))
+@example("nœud-é", b"", None, 0)
+@example("", b"", b"", 2)
+@example("ñ", b"ping", b"\x01" * 32, 255)
+def test_round_trip_property(sender, payload, macbytes, other_alg):
+    frame = encode_envelope(Envelope(sender, payload, macbytes))
+    assert frame == reference_frame(sender, payload, macbytes)
+    env = Envelope(sender, payload, macbytes, "network")
+    assert decode_frame(frame) == (env, len(frame))
+    assert decode_body(frame[4:]) == env
+    if macbytes is not None:
+        alg_at = 7 + len(sender.encode("utf-8"))
+        other = frame[:alg_at] + bytes([other_alg]) + frame[alg_at + 1:]
+        assert decode_body(other[4:]) == Envelope(sender, payload, None, "network")
