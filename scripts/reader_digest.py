@@ -70,7 +70,7 @@ def random_term(rng: random.Random, depth: int = 3):
                                 for _ in range(rng.randint(0, 6))))
         return Var("V%d" % rng.randrange(4))
     if r < 0.8:
-        name = rng.choice(OPERATOR_NAMES + ("f", "g1", "Big", "a b"))
+        name = rng.choice(OPERATOR_NAMES + ("f", "g1", "Big", "a b", "[]", ""))
         return Struct(name, tuple(random_term(rng, depth - 1)
                                   for _ in range(rng.randint(1, 3))))
     return mklist([random_term(rng, depth - 1) for _ in range(rng.randint(0, 3))])

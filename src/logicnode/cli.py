@@ -348,6 +348,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
+    addresses = [vars(args).get(k) for k in ("bind", "server", "client", "addr")]
+    try:  # each host:port argument, before the command runs
+        for address in filter(None, addresses):
+            split_hostport(address)
+    except ValueError as e:
+        print("error: %s" % e, file=sys.stderr)
+        return EXIT_USAGE
     return args.fn(args)
 
 

@@ -12,8 +12,15 @@ drops the choicepoints back to the height before it; `\+ G` runs as
 above the barrier; a collector marker after it (not a step) records one
 solution and fails, and popping the barrier finishes the builtin.  So only
 `solve_first` and `solve_all` enter `solutions`, no goal takes Python stack,
-and `SolveLimits` alone bounds nesting.  Unknown predicates fail quietly:
-handler programs routinely query predicates before the first matching assert.
+and `SolveLimits` alone bounds nesting.
+
+A `Database` keeps one `Predicate` record per indicator: its clauses in
+database order, its first-argument index, and its `dynamic`, `event` and
+`alarm` declarations.  A call of a predicate without clauses fails quietly:
+handler programs routinely query predicates before the first matching
+assert.  A predicate is static when it holds clauses and is not dynamic, and
+only then do `assert` and `retract` raise `permission`; a first assert makes
+a predicate dynamic.
 
 Each clause is compiled once (`_rename`) into patterns over an array of
 variable slots: a slot number for a variable, the term itself for a ground
@@ -96,41 +103,46 @@ class SolveLimits:
         self.max_steps = max_steps
 
 
+class Predicate(list):
+    """A predicate's clauses in database order, its declarations, and its
+    index: None until first used, then {bucket key: (clauses, stamps)}.  A
+    clause is filed under at most two keys (`_bucket_keys`), each filing with
+    a stamp from `Database._stamps`, so a call that reads several buckets
+    merges them back into database order."""
+
+    __slots__ = ("index", "dynamic", "event", "alarm")
+
+    def __init__(self):  # `list` makes the empty list
+        self.index = None
+        self.dynamic = self.event = self.alarm = False
+
+
 class Database:
-    """Ordered clauses per predicate indicator plus declaration flags."""
+    """A `Predicate` record per indicator (name, arity)."""
 
     def __init__(self):
-        self.preds: dict = {}        # (name, arity) -> list[Clause]
-        # (name, arity) -> {bucket key: (clauses, stamps)}, absent until first
-        # used.  A clause is filed under at most two keys (`_bucket_keys`),
-        # each filing with a stamp from `_stamps`, so a call that reads
-        # several buckets merges them back into database order
-        self._index: dict = {}
+        self.preds: dict = {}  # (name, arity) -> Predicate
         self._stamps = count()
-        self.dynamic: set = set()
-        self.events: set = set()
-        self.alarms: set = set()
 
     def load_program(self, prog: Program) -> None:
         for d in prog.directives:
-            target = {"event": self.events, "alarm": self.alarms,
-                      "dynamic": self.dynamic}[d.kind]
             for ind in d.indicators:
-                target.add(ind)
-                if d.kind == "dynamic":
-                    self.preds.setdefault(ind, [])
+                setattr(self.preds.setdefault(ind, Predicate()), d.kind, True)
         for c in prog.clauses:
             self.add_clause(c)
 
-    def add_clause(self, clause: Clause) -> None:
-        """Consult-time load: static unless the indicator is declared dynamic."""
+    def add_clause(self, clause: Clause) -> Predicate:
+        """Consult-time load, static unless declared dynamic; returns the record."""
         ind = indicator(clause.head)
         if ind is None:
             raise EngineError("type", "clause head is not callable")
-        self.preds.setdefault(ind, []).append(clause)
-        index = self._index.get(ind)
-        if index is not None:
-            self._file(index, clause)
+        pred = self.preds.get(ind)
+        if pred is None:
+            pred = self.preds[ind] = Predicate()
+        pred.append(clause)
+        if pred.index is not None:
+            self._file(pred.index, clause)
+        return pred
 
     def _file(self, index: dict, clause: Clause) -> None:
         stamp = next(self._stamps)
@@ -148,16 +160,16 @@ class Database:
 
         A list is live, and callers iterate a copy; a merge is a new tuple.
         """
-        clauses = self.preds.get(ind)
-        if clauses is None or first is None:
-            return clauses
+        pred = self.preds.get(ind)
+        if pred is None or first is None:
+            return pred
         first = deref(first)
         if type(first) is Var:
-            return clauses
-        index = self._index.get(ind)
+            return pred
+        index = pred.index
         if index is None:
-            index = self._index[ind] = {}
-            for c in clauses:
+            index = pred.index = {}
+            for c in pred:
                 self._file(index, c)
         key = _first_arg_key(first)
         if type(first) is not Struct:
@@ -176,30 +188,30 @@ class Database:
                 one = bucket
         return () if one is None else one[0]
 
-    def assert_clause(self, clause: Clause) -> None:
-        """Runtime assertz; a first assert on an unknown indicator makes it dynamic."""
-        ind = indicator(clause.head)
-        if ind is None:
-            raise EngineError("type", "assert of a non-callable term")
-        if ind not in self.preds:
-            self.dynamic.add(ind)
-        elif ind not in self.dynamic:
-            raise EngineError("permission", "assert on static predicate %s/%d" % ind)
-        self.add_clause(clause)
+    def writable(self, ind, what: str) -> Optional[Predicate]:
+        """The record of `ind`, or None; raises if the predicate is static."""
+        pred = self.preds.get(ind)
+        if pred and not pred.dynamic:  # static: it holds clauses and is not dynamic
+            raise EngineError("permission", "%s on static predicate %s/%d" % (what, *ind))
+        return pred
 
-    def retract(self, ind, clause: Clause) -> bool:
-        """Remove the oldest stored copy of a clause of `ind` from the list
-        and its index; False if it was no longer stored."""
+    def assert_clause(self, clause: Clause) -> None:
+        """Runtime assertz; a first assert makes the predicate dynamic."""
+        self.writable(indicator(clause.head), "assert")
+        self.add_clause(clause).dynamic = True
+
+    def retract(self, pred: Predicate, clause: Clause) -> bool:
+        """Remove the oldest stored copy of a clause from `pred` and its
+        index; False if it was no longer stored."""
         try:
-            self.preds[ind].remove(clause)
+            pred.remove(clause)
         except ValueError:
             return False
-        index = self._index.get(ind)
-        if index is not None:  # its oldest filing is first in each bucket too
+        if pred.index is not None:  # its oldest filing is first in each bucket too
             for key in _bucket_keys(clause):
-                clauses, stamps = index[key]
+                clauses, stamps = pred.index[key]
                 if len(clauses) == 1:
-                    del index[key]
+                    del pred.index[key]
                 else:
                     i = clauses.index(clause)
                     del clauses[i], stamps[i]
@@ -207,12 +219,8 @@ class Database:
 
     def facts(self, name: str, arity: int) -> list:
         """Ground snapshot of the facts stored under name/arity."""
-        out = []
-        for c in self.preds.get((name, arity), []):
-            body = deref(c.body)
-            if isinstance(body, Atom) and body.name == "true":
-                out.append(copy_term(c.head))
-        return out
+        return [copy_term(c.head) for c in self.preds.get((name, arity), ())
+                if deref(c.body) == _TRUE]
 
 
 def _rename(clause: Clause) -> tuple:
@@ -770,17 +778,14 @@ def _bi_retract(s, args):
     ind = indicator(template.head)
     targs = template.head.args if isinstance(template.head, Struct) else ()
     candidates = s.db.clauses_for(ind, targs[0] if targs else None)
-    if candidates is None:
-        return
-    if ind not in s.db.dynamic:
-        raise EngineError("permission", "retract on static predicate %s/%d" % ind)
-    for clause in tuple(candidates):
+    pred = s.db.writable(ind, "retract")
+    for clause in tuple(candidates or ()):
         m = s.mark()
         nslots, heads, body = _rename(clause)
         slots = [None] * nslots
         # a clause retracted since this call began is no longer stored
         if (s._match(heads, targs, slots) and s._match((body,), (template.body,), slots)
-                and s.db.retract(ind, clause)):
+                and s.db.retract(pred, clause)):
             yield
         s.undo(m)
 

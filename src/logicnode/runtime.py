@@ -123,14 +123,8 @@ class Node:
         except ReaderError:
             self.metrics.decode_errors += 1
             return "decode_error", None
-        ind = indicator(term)
-        if ind is None:
-            self.metrics.discarded += 1
-            return "discarded", term
-        allowed = ind in self.db.events
-        if envelope.origin == "alarm":
-            allowed = allowed or ind in self.db.alarms
-        if not allowed:
+        pred = self.db.preds.get(indicator(term))
+        if pred is None or not (pred.event or (pred.alarm and envelope.origin == "alarm")):
             self.metrics.discarded += 1
             return "discarded", term
         self.metrics.delivered += 1

@@ -32,7 +32,7 @@ from typing import List, Optional
 from .auth import load_key_file
 from .reader import Clause, ReaderError, parse_program, parse_term
 from .runtime import POLICIES, NodeConfig
-from .sim import SimNetwork
+from .sim import LinkModel, SimNetwork
 from .protocols import asset_path
 from .terms import Atom
 
@@ -70,6 +70,7 @@ class Scenario:
     def __init__(self, text: str, base_dir: str = "."):
         self.base = Path(base_dir)
         self.seed = 0
+        self.links = LinkModel()  # latency and drop statements, applied as read
         self.stmts: List[_Stmt] = []
         self._parse(text)
 
@@ -99,34 +100,26 @@ class Scenario:
             (v,) = words(1)
             self.seed = int(v)
             return _Stmt(n, "noop", ())
-        if op == "program":
-            name, src = words(2)
-            return _Stmt(n, op, (name, src))
-        if op == "node":
-            addr, prog = words(2)
-            return _Stmt(n, op, (addr, prog))
+        if op in ("program", "node", "facts", "policy"):
+            return _Stmt(n, op, tuple(words(2)))
+        if op == "keys":
+            return _Stmt(n, op, tuple(words(1)))
         if op == "fact":
             addr, text = words(2)
             return _Stmt(n, op, (addr, parse_term(text)))
-        if op == "facts":
-            addr, path = words(2)
-            return _Stmt(n, op, (addr, path))
-        if op == "keys":
-            (path,) = words(1)
-            return _Stmt(n, op, (path,))
-        if op == "policy":
-            addr, pol = words(2)
-            return _Stmt(n, op, (addr, pol))
         if op == "latency":
             w = rest.split()
             if len(w) == 2 and w[0] == "default":
-                return _Stmt(n, "latency_default", (float(w[1]),))
-            if len(w) == 3:
-                return _Stmt(n, op, (w[0], w[1], float(w[2])))
-            raise ScenarioError(n, "latency needs 'default MS' or 'FROM TO MS'")
+                self.links.default_latency = float(w[1])
+            elif len(w) == 3:
+                self.links.set_latency(w[0], w[1], float(w[2]))
+            else:
+                raise ScenarioError(n, "latency needs 'default MS' or 'FROM TO MS'")
+            return _Stmt(n, "noop", ())
         if op == "drop":
             frm, to, p = words(3)
-            return _Stmt(n, op, (frm, to, float(p)))
+            self.links.set_drop(frm, to, float(p))
+            return _Stmt(n, "noop", ())
         if op == "inject":
             at, addr, text = words(3)
             return _Stmt(n, op, (float(at), addr, parse_term(text)))
@@ -164,7 +157,7 @@ class Scenario:
             raise ScenarioError(n, "unknown program asset %r" % src)
 
     def run(self, seed: Optional[int] = None) -> ScenarioReport:
-        net = SimNetwork(seed=self.seed if seed is None else seed)
+        net = SimNetwork(seed=self.seed if seed is None else seed, links=self.links)
         report = ScenarioReport(net=net)
         programs: dict = {}
         keystore = None
@@ -206,42 +199,31 @@ class Scenario:
                 if st.args[1] not in POLICIES:
                     raise ScenarioError(st.line_no, "unknown policy %r" % st.args[1])
                 node.config.policy = st.args[1]
-            elif st.op == "latency_default":
-                net.links.default_latency = st.args[0]
-            elif st.op == "latency":
-                net.links.set_latency(st.args[0], st.args[1], st.args[2])
-            elif st.op == "drop":
-                net.links.set_drop(st.args[0], st.args[1], st.args[2])
         # event phase, in file order
         for st in self.stmts:
-            if st.op == "inject":
-                at, addr, term = st.args
-                net.inject_term(max(at, net.clock), addr, term)
-            elif st.op == "inject_signed":
-                at, addr, sender, term = st.args
-                if keystore is None:
-                    raise ScenarioError(st.line_no, "inject_signed needs a keys file")
-                net.inject_term(max(at, net.clock), addr, term,
-                                sender=sender, keystore=keystore)
-            elif st.op == "run_until":
-                net.run_until(st.args[0])
-            elif st.op == "run_to_idle":
+            try:  # the network refuses a time that is not finite or is past
+                if st.op == "inject":
+                    at, addr, term = st.args
+                    net.inject_term(at, addr, term)
+                elif st.op == "inject_signed":
+                    at, addr, sender, term = st.args
+                    if keystore is None:
+                        raise ScenarioError(st.line_no, "inject_signed needs a keys file")
+                    net.inject_term(at, addr, term, sender=sender, keystore=keystore)
+                elif st.op == "run_until":
+                    net.run_until(st.args[0])
+            except ValueError as e:
+                raise ScenarioError(st.line_no, str(e)) from None
+            if st.op == "run_to_idle":
                 net.run_to_idle()
-            elif st.op == "expect":
+            elif st.op in ("expect", "expect_absent"):
                 addr, text, goal = st.args
                 if addr not in net.nodes:
                     raise ScenarioError(st.line_no, "unknown node %r" % addr)
-                if not net.holds(addr, text):
-                    report.failures.append(
-                        "line %d: expect %s %s: no solution" % (st.line_no, addr, text))
-            elif st.op == "expect_absent":
-                addr, text, goal = st.args
-                if addr not in net.nodes:
-                    raise ScenarioError(st.line_no, "unknown node %r" % addr)
-                if net.holds(addr, text):
-                    report.failures.append(
-                        "line %d: expect_absent %s %s: has a solution"
-                        % (st.line_no, addr, text))
+                if net.holds(addr, text) != (st.op == "expect"):
+                    report.failures.append("line %d: %s %s %s: %s" % (
+                        st.line_no, st.op, addr, text,
+                        "no solution" if st.op == "expect" else "has a solution"))
         report.metrics = net.metrics()
         for st in self.stmts:
             if st.op == "metric":

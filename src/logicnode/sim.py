@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -46,6 +47,13 @@ class TraceRecord:
             self.term, self.outcome, self.sends)
 
 
+def _not_before(t: float, low: float, what: str) -> float:
+    """`t` if it is a finite number >= `low`: simulated time never runs backwards."""
+    if not low <= t < math.inf:  # NaN fails every comparison
+        raise ValueError("%s must be a finite number >= %s, got %r" % (what, low, t))
+    return t
+
+
 class LinkModel:
     def __init__(self, default_latency: float = 1):
         self.default_latency = default_latency
@@ -53,10 +61,16 @@ class LinkModel:
         self._drop: dict = {}
         self._corrupt: dict = {}
 
+    @property
+    def default_latency(self) -> float:
+        return self._default
+
+    @default_latency.setter
+    def default_latency(self, ms: float) -> None:
+        self._default = _not_before(ms, 0, "latency")
+
     def set_latency(self, frm: str, to: str, ms: float) -> None:
-        if ms < 0:
-            raise ValueError("latency must be >= 0")
-        self._latency[(frm, to)] = ms
+        self._latency[(frm, to)] = _not_before(ms, 0, "latency")
 
     def set_drop(self, frm: str, to: str, p: float) -> None:
         if not 0.0 <= p <= 1.0:
@@ -71,7 +85,7 @@ class LinkModel:
             self._corrupt[(frm, to)] = hook
 
     def latency(self, frm: str, to: str) -> float:
-        return self._latency.get((frm, to), self.default_latency)
+        return self._latency.get((frm, to), self._default)
 
     def drop(self, frm: str, to: str) -> float:
         return self._drop.get((frm, to), 0.0)
@@ -146,8 +160,7 @@ class SimNetwork:
 
     def _inject(self, at: float, to: str, env: Envelope, written: bool) -> None:
         """`written`: `serialize` wrote the payload, so it is the trace text."""
-        if at < self.clock:
-            raise ValueError("cannot inject into the past")
+        _not_before(at, self.clock, "inject time")
         heapq.heappush(self._heap, (at, next(self._seq), to, env, written))
 
     def inject_term(self, at: float, to: str, term: Term, sender: str = "injector",
@@ -176,10 +189,10 @@ class SimNetwork:
         return rec
 
     def run_until(self, t: float) -> None:
+        _not_before(t, self.clock, "run time")
         while self._heap and self._heap[0][0] <= t:
             self.step()
-        if t > self.clock:
-            self.clock = t
+        self.clock = t
 
     def run_to_idle(self, max_events: int = 1_000_000) -> None:
         """Drain the queue completely; only safe without re-arming alarms."""

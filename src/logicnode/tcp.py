@@ -67,9 +67,10 @@ QUEUE_LIMIT = 2 * MAX_FRAME_BYTES  # bytes queued for all peers together
 
 
 def split_hostport(address: str) -> Tuple[str, int]:
+    """(host, port) of "host:port"; ValueError unless the port is 0-65535."""
     host, sep, port = address.rpartition(":")
-    if not sep:
-        raise ValueError("address must be host:port, got %r" % address)
+    if not (sep and port.isdecimal() and int(port) <= 65535):
+        raise ValueError("address must be host:port with port 0-65535, got %r" % address)
     return host, int(port)
 
 
@@ -260,17 +261,14 @@ class TcpTransport:
 
     # --- the node loop ---
 
-    def run(self, duration: Optional[float] = None) -> None:
-        """Dispatch envelopes and alarms until stop() (or duration seconds)."""
-        deadline = None if duration is None else time.monotonic() + duration
+    def run(self) -> None:
+        """Dispatch envelopes and alarms until stop()."""
         self._running = True
         try:
             while not self._stop.is_set():
                 timeout = 0.0 if self._inbox else POLL_S
                 if self._alarms:
                     timeout = min(timeout, max(0.0, (self._alarms[0][0] - _now_ms()) / 1000.0))
-                if deadline is not None:
-                    timeout = min(timeout, max(0.0, deadline - time.monotonic()))
                 self._poll(timeout)
                 try:
                     self._fire_due_alarms()
@@ -285,8 +283,6 @@ class TcpTransport:
                 finally:
                     for peer in list(self._queued):
                         self._pump(peer)
-                if deadline is not None and time.monotonic() >= deadline:
-                    return
         finally:
             self._running = False
             if self._stop.is_set():

@@ -7,10 +7,7 @@ shared freely between structures on the same node.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
-
-_fresh_ids = itertools.count(1)
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -23,9 +20,7 @@ class Term:
 class Var(Term):
     __slots__ = ("name", "ref")
 
-    def __init__(self, name: Optional[str] = None):
-        if name is None:
-            name = "_G%d" % next(_fresh_ids)
+    def __init__(self, name: str):
         self.name = name
         self.ref: Optional[Term] = None
 

@@ -1,6 +1,3 @@
-import gc
-import time
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +10,7 @@ from logicnode.runtime import NodeConfig
 from logicnode.sim import SimNetwork
 from logicnode.wire import (
     Envelope, FrameError, StreamDecoder, decode_frame, encode_envelope)
+from timing import best_thread_s
 
 
 ECHO_SRC = """
@@ -97,22 +95,12 @@ def test_a_dispatch_writes_only_its_reply_as_text(monkeypatch):
 
 
 def _best_dispatch_s(payload: bytes) -> float:
-    """Best of three: CPU seconds of this thread to dispatch payload to
-    `m(_).`.  This thread's CPU time, so that neither other processes nor
-    transport loops that earlier tests left running move the ratio, and
-    with the cyclic GC off, whose passes cost in proportion to all the
-    objects the test run holds, not to the message."""
+    """CPU seconds to dispatch payload to `m(_).`"""
     net, node = make_net(":- event m/1.\nm(_).\n")
-    best = float("inf")
-    gc.disable()
-    try:
-        for _ in range(3):
-            t0 = time.thread_time()
-            assert node.dispatch(Envelope("x", payload))[0] == "success"
-            best = min(best, time.thread_time() - t0)
-    finally:
-        gc.enable()
-    return best
+
+    def run():
+        assert node.dispatch(Envelope("x", payload))[0] == "success"
+    return best_thread_s(lambda: run)
 
 
 def test_dispatch_is_linear_in_the_variables_of_its_message():

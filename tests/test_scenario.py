@@ -203,6 +203,29 @@ run_to_idle
     assert "delivered,1" in lines
 
 
+# a time or latency that would run simulated time backwards, and its line
+BAD_TIMES = [
+    ("seed 1\nlatency default -50\n", 2),
+    ("latency default nan\n", 1),
+    ("latency a b nan\n", 1),
+    ("latency a b -1\n", 1),
+    ("drop a b 1.5\n", 1),
+    ("inject nan n1 ping(a)\n", 1),
+    ("inject inf n1 ping(a)\n", 1),
+    ("run_until 10\ninject 5 n1 ping(a)\n", 2),
+    ("run_until nan\n", 1),
+    ("run_until 10\nrun_until 5\n", 2),
+]
+
+
+@pytest.mark.parametrize("text, line_no", BAD_TIMES)
+def test_a_time_that_runs_backwards_is_an_error_of_its_line(workdir, text, line_no):
+    with pytest.raises(ScenarioError) as e:
+        run_text(workdir, "program p ping.dahl\nnode n1 p\n" + text)
+    assert e.value.line_no == line_no + 2
+    assert str(e.value).startswith("line %d: " % (line_no + 2))
+
+
 def test_load_scenario_resolves_relative_paths(workdir):
     scn = write_scenario(workdir, """
 program p ping.dahl

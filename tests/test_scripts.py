@@ -39,7 +39,7 @@ def test_experiment_script_runs(command, summary):
 # what scripts/reader_digest.py prints; a change that alters what the reader
 # makes of an input on purpose updates these lines and says why
 PINNED_READER_OUTCOMES = """\
-outcomes 5515280256cdcd300f31acafa467bb373fd88e3c8ee6eab7d00826fd420d4ad4
+outcomes 39cdd44953e62bc4d2761e2587ef065558417c04900a28f6dc9f62c408b08f01
 canonical parse_term    read         20000
 programs  parse_program read         6
 random    parse_program read         22607

@@ -84,6 +84,22 @@ def test_drop_probability_validation():
         links.set_latency("a", "b", -1)
 
 
+@pytest.mark.parametrize("bad", [-1, float("nan"), float("inf")])
+def test_simulated_time_never_runs_backwards(bad):
+    with pytest.raises(ValueError):
+        LinkModel(default_latency=bad)
+    with pytest.raises(ValueError):
+        LinkModel().set_latency("a", "b", bad)
+    net = SimNetwork(seed=0)
+    net.run_until(5)
+    for at in (bad, 4, bad + 5):
+        with pytest.raises(ValueError):
+            net.inject_term(at, "a", parse_term("token(0)"))
+        with pytest.raises(ValueError):
+            net.run_until(at)
+    assert net.clock == 5 and net.pending_events == 0
+
+
 def test_full_drop_loses_every_message():
     links = LinkModel()
     links.set_drop("a", "b", 1.0)

@@ -8,7 +8,7 @@ from collections import deque
 import pytest
 
 from logicnode import tcp
-from logicnode.cli import EXIT_RUNTIME, main as cli_main
+from logicnode.cli import EXIT_RUNTIME, EXIT_USAGE, main as cli_main
 from logicnode.reader import Clause, parse_program, parse_term, serialize
 from logicnode.runtime import NodeConfig, start_node
 from logicnode.tcp import INBOX_LIMIT, TcpTransport, split_hostport
@@ -227,6 +227,20 @@ def test_cli_dump_reports_a_broken_reply_as_a_runtime_error(reply, capsys):
         server_thread.join(5)
         listener.close()
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "pingpong_server", "--bind", "nonsense"],
+    ["run", "pingpong_server", "--bind", "127.0.0.1:99999"],
+    ["inject", "nonsense", "ping"],
+    ["dump", "nonsense", "p/1"],
+    ["bench-pingpong", "--server", "127.0.0.1:port"],
+    ["bench-pingpong", "--client", "127.0.0.1:1", "--bind", "127.0.0.1:-1"],
+])
+def test_cli_reports_a_malformed_address_as_a_usage_error(argv, capsys):
+    assert cli_main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: address must be host:port"), err
 
 
 def test_dump_endpoint_can_be_disabled():

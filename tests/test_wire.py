@@ -1,5 +1,5 @@
 import struct
-import time
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +9,7 @@ from logicnode.auth import ALG_HMAC_SHA256
 from logicnode.wire import (
     MAX_FRAME_BYTES, Envelope, FrameError, StreamDecoder, decode_body,
     decode_frame, encode_envelope)
+from timing import best_thread_s
 
 
 def test_unsigned_frame_layout():
@@ -91,13 +92,7 @@ def _frames(n: int) -> bytes:
 
 
 def _best_feed_s(data: bytes) -> float:
-    best = float("inf")
-    for _ in range(3):
-        dec = StreamDecoder()
-        t0 = time.perf_counter()
-        dec.feed(data)
-        best = min(best, time.perf_counter() - t0)
-    return best
+    return best_thread_s(lambda: partial(StreamDecoder().feed, data))
 
 
 def test_stream_decoder_twenty_thousand_frames_in_one_feed():
