@@ -2,17 +2,20 @@ r"""Depth-first resolution over a dynamic clause database.
 
 `Solver.solutions` runs a goal in one loop over a goal list of linked frames
 (goal, slots, cut height, rest) and a stack of choicepoints, after Warren's
-abstract machine; bindings are undone through a trail.  A cut drops the
-choicepoints made since its clause was called.  `( C -> T ; E )` and
-`( C -> T )` run in the same loop: a choicepoint keeps `E`, `C` runs with its
-cut height above that choicepoint, and a commit marker after `C` (not a step)
-drops the choicepoints back to the height before it; `\+ G` runs as
-`( G -> fail ; true )`.  A goal whose solutions are collected (`findall`,
-`count`, `sendall`) runs above a barrier choicepoint, with its cut height
-above the barrier; a collector marker after it (not a step) records one
-solution and fails, and popping the barrier finishes the builtin.  So only
-`solve_first` and `solve_all` enter `solutions`, no goal takes Python stack,
-and `SolveLimits` alone bounds nesting.
+abstract machine; bindings are undone through a trail.  A choicepoint is
+data, (trail mark, resume, state, goal list), as in the WAM's try / retry /
+trust: with `resume` None the goal list is the alternative, else
+`resume(solver, state, goal list, choicepoints)` returns it and pushes the
+next choicepoint.  A cut drops the choicepoints made since its clause was
+called.  `( C -> T ; E )` and `( C -> T )` run in the same loop: a
+choicepoint keeps `E`, `C` runs with its cut height above it, and a commit
+marker after `C` (not a step) drops the choicepoints back to the height
+before it; `\+ G` runs as `( G -> fail ; true )`.  A goal whose solutions
+are collected (`findall`, `count`, `sendall`) runs above a barrier
+choicepoint, its cut height above it; a collector marker after it (not a
+step) records one solution and fails, and the barrier's resume finishes the
+builtin.  So only `solve_first` and `solve_all` enter `solutions`, no goal
+takes Python stack, and `SolveLimits` alone bounds nesting.
 
 A `Database` keeps one `Predicate` record per indicator: its clauses in
 database order, its first-argument index, and its `dynamic`, `event` and
@@ -38,23 +41,25 @@ slots.  A goal that is a term (a query, or a variable's value) is its own
 pattern: it holds no slot.
 
 `Solver._match` is the only unifier.  It takes patterns or plain terms, so
-head matching, `retract`, `Solver.unify` (`=`, `\=`, `member` and the
-builtins) and `==` all run in it.  Its two lines that bind a variable, each
-after trailing it, are the only places that bind one, and `undo` the only
-place that resets one.  Before either binds a variable to a compound, an
-occurs check walks the compound and fails the unification if the variable
-is in it, so no cyclic term can be built and every walk of a term ends.
-`==` is unification that binds nothing: a trail that did not grow.
+head matching, `retract`, `=`, `Solver.unify` (`\=`, `member` and the
+builtins) and `==` all run in it.  Its two lines that bind a variable and
+the one in `solutions` that binds a slot's new variable for `=`, each after
+trailing it, are the only places that bind one, and `undo` the only place
+that resets one.  Before `_match` binds a variable to a compound, an occurs
+check walks the compound and fails the unification if the variable is in it,
+so no cyclic term can be built and every walk of a term ends; `=` builds its
+right side first, so a slot's new variable is not in it.  `==` is
+unification that binds nothing: a trail that did not grow.
 
-Every builtin but `is/2` and the comparisons is an entry of one table,
-`BUILTINS` (a `Node` merges its own and `NodeConfig.extra_builtins` under
-it).  One that succeeds at most once (the tests, `assert`, the node's) is a
-plain function `fn(solver, args) -> bool`.  One with several solutions
-(`member/2`, `retract/1`) is a generator function: the solver tells it by
-the generator it returns, which yields once per solution.  An all-solutions builtin
-(`findall`, `count`, `sendall`) is a tuple: the index of its goal argument,
-`record(solver, args)`, which returns one solution's note while its bindings
-hold, and `finish(solver, args, notes) -> bool`, called once they are undone.
+Every builtin but `=/2`, `is/2` and the comparisons is an entry of one
+table, `BUILTINS` (a `Node` merges its own and `NodeConfig.extra_builtins`
+under it).  One that succeeds at most once (the tests, `assert`, the node's)
+is a function `fn(solver, args) -> bool`.  One with several solutions
+(`member/2`, `retract/1`) returns (resume, state) instead, resumed at once
+for its first solution.  An all-solutions builtin (`findall`, `count`,
+`sendall`) is a tuple: the index of its goal argument, `record(solver,
+args)`, which returns one solution's note while its bindings hold, and
+`finish(solver, args, notes) -> bool`, called once they are undone.
 
 Clauses are indexed on their first argument, after Warren's first-argument
 switch.  A first argument has a key when it is an atom, an integer, or a
@@ -79,7 +84,6 @@ from __future__ import annotations
 
 import operator as _op
 from itertools import chain, count
-from types import GeneratorType
 from typing import Iterator, Optional, Sequence
 
 from .reader import Clause, Program
@@ -380,9 +384,6 @@ class Solver:
 
     # --- bindings ---
 
-    def mark(self) -> int:
-        return len(self.trail)
-
     def undo(self, mark: int) -> None:
         trail = self.trail
         while len(trail) > mark:
@@ -414,8 +415,8 @@ class Solver:
                 t = deref(t)
                 if p is t:
                     continue
-                # the only two lines that bind a variable, each after it is
-                # trailed and checked not to occur in its value
+                # two of the three lines that bind a variable (`=` has one),
+                # each after it is trailed and checked not to occur in its value
                 if type(t) is Var:
                     if tp is tuple:
                         p = _build(p, slots)
@@ -460,11 +461,10 @@ class Solver:
         builtins = self.builtins
         max_steps = self.limits.max_steps
         base = len(trail)
-        # choicepoints: (trail mark, alternatives, goal list).  A predicate
-        # call's alternatives are the arguments of `_try_clauses` that resume
-        # it; None is one way on to the goal list (the right branch of a
-        # disjunction, an else branch); a list is an all-solutions barrier
-        # [record, finish, args, notes]; others are a generator builtin
+        # choicepoints: (trail mark, resume, state, goal list); with `resume`
+        # None the goal list is the alternative (an else branch, a right
+        # disjunct), else `resume` is `_try_clauses`, `_finish` (a barrier:
+        # [record, finish, args, notes]) or a builtin's
         cps: list = []
         goals = (goal, None, 0, None)  # goal list: (goal, slots, cut height, rest)
         while True:
@@ -475,19 +475,9 @@ class Solver:
                 if not cps:
                     self.undo(base)
                     return
-                mark, alts, rest = cps.pop()
+                mark, resume, state, rest = cps.pop()
                 self.undo(mark)
-                if alts is None:
-                    goals = rest
-                elif type(alts) is tuple:
-                    goals = self._try_clauses(*alts, rest, cps)
-                elif type(alts) is list:  # a barrier: the solutions are used up
-                    goals = rest if alts[1](self, alts[2], alts[3]) else _FAIL
-                elif next(alts, _FAIL) is _FAIL:
-                    goals = _FAIL
-                else:
-                    cps.append((mark, alts, rest))
-                    goals = rest
+                goals = rest if resume is None else resume(self, state, rest, cps)
                 continue
             goal, slots, height, rest = goals
             if goal is _COMMIT:
@@ -530,7 +520,7 @@ class Solver:
                     cond = left.args
                 else:
                     cond = None
-                cps.append((len(trail), None, (args[1], slots, height, rest)))
+                cps.append((len(trail), None, None, (args[1], slots, height, rest)))
                 if cond is None:
                     goals = (left, slots, height, rest)
                 else:
@@ -540,8 +530,19 @@ class Solver:
                 goals = (args[0], slots, len(cps), (_COMMIT, None, len(cps),
                                                    (args[1], slots, height, rest)))
             elif arity == 1 and name == "\\+":
-                cps.append((len(trail), None, rest))
+                cps.append((len(trail), None, None, rest))
                 goals = (args[0], slots, len(cps), (_COMMIT, None, len(cps) - 1, _FAIL))
+            elif arity == 2 and name == "=":  # built first, `right` holds no newer variable
+                left, right = args
+                if type(right) is int or type(right) is tuple:
+                    right = _build(right, slots)
+                if type(left) is int and slots[left] is None:  # no occurs walk; trailed,
+                    v = slots[left] = Var("_G")  # as backtracking resets no slot
+                    trail.append(v)
+                    v.ref = right
+                    goals = rest
+                else:  # built too: `_match` would store into a first-use slot
+                    goals = rest if self._match((_build(left, slots),), (right,), None) else _FAIL
             elif arity == 2 and name in _ARITH:  # evaluated over the slots
                 test = _ARITH[name]
                 if test is None:  # R is E; R built, so backtracking unbinds it
@@ -558,27 +559,25 @@ class Solver:
                 builtin = builtins.get(key)
                 if type(builtin) is tuple:  # collect the solutions above a barrier
                     barrier = [builtin[1], builtin[2], args, []]
-                    cps.append((len(trail), barrier, rest))
+                    cps.append((len(trail), Solver._finish, barrier, rest))
                     goals = (args[builtin[0]], None, len(cps), (_COLLECT, barrier, 0, None))
                     continue
                 if builtin is not None:
                     got = builtin(self, args)
-                    if type(got) is GeneratorType:  # backtracking takes its first solution
-                        cps.append((len(trail), got, rest))
-                        goals = _FAIL
+                    if type(got) is tuple:  # (resume, state) of its first solution
+                        goals = got[0](self, got[1], rest, cps)
                     else:
                         goals = rest if got else _FAIL
                     continue
                 # a live bucket list is copied, so clauses asserted or retracted
                 # during the call do not change it; `tuple` keeps a merge as it is
                 clauses = tuple(self.db.clauses_for(key, args[0] if args else None) or ())
-                goals = self._try_clauses(args, clauses, 0, rest, cps)
+                goals = self._try_clauses((args, clauses, 0), rest, cps)
 
-    def _try_clauses(self, args, candidates: tuple, i: int, rest, cps: list):
-        """The goal list that starts with the body of the first of
-        `candidates[i:]` whose head matches `args`, or _FAIL.  A choicepoint
-        keeps the clauses after it.  A body `true` is proved here: it counts
-        its step, and the goal list is `rest`."""
+    def _try_clauses(self, state: tuple, rest, cps: list):
+        """Resume a call, state (args, candidates, i), at the first of
+        `candidates[i:]` whose head matches; a body `true` is proved here."""
+        args, candidates, i = state
         height = len(cps)
         n = len(candidates)
         trail = self.trail
@@ -589,7 +588,7 @@ class Solver:
             slots = [None] * nslots
             if self._match(heads, args, slots):
                 if i < n:
-                    cps.append((mark, (args, candidates, i), rest))
+                    cps.append((mark, Solver._try_clauses, (args, candidates, i), rest))
                 if body is not _TRUE:
                     return (body, slots, height, rest)
                 self.steps += 1
@@ -598,6 +597,10 @@ class Solver:
                 return rest
             self.undo(mark)
         return _FAIL
+
+    def _finish(self, barrier: list, rest, cps: list):
+        """Resume a barrier: its goal's solutions are used up."""
+        return rest if barrier[1](self, barrier[2], barrier[3]) else _FAIL
 
     # --- public entry points ---
 
@@ -608,7 +611,7 @@ class Solver:
         whether one exists (a node's dispatch, `SimNetwork.holds`) pays for
         no walk of the goal's variables and no copy."""
         qvars = [v for v in term_vars(goal) if v.name != "_"] if answer else ()
-        m = self.mark()
+        m = len(self.trail)
         try:
             for _ in self.solutions(goal):
                 return {v.name: copy_term(v) for v in qvars}
@@ -618,7 +621,7 @@ class Solver:
 
     def solve_all(self, goal: Term) -> list:
         qvars = [v for v in term_vars(goal) if v.name != "_"]
-        m = self.mark()
+        m = len(self.trail)
         try:
             return [{v.name: copy_term(v) for v in qvars}
                     for _ in self.solutions(goal)]
@@ -716,13 +719,9 @@ _ARITH = {"is": None, "=:=": _op.eq, "<": _op.lt, ">": _op.gt, "=<": _op.le,
 # --- builtins that succeed at most once: fn(solver, args) -> bool ---
 
 
-def _bi_unify(s, args):
-    return s.unify(args[0], args[1])
-
-
 def _bi_identical(s, args):
     # identical terms unify without binding anything
-    m = s.mark()
+    m = len(s.trail)
     same = s.unify(args[0], args[1]) and len(s.trail) == m
     s.undo(m)
     return same
@@ -731,7 +730,7 @@ def _bi_identical(s, args):
 def _bi_not_unifiable(s, args):
     # undo here: a failed unification may leave bindings behind, and this
     # builtin succeeds exactly then
-    m = s.mark()
+    m = len(s.trail)
     ok = s.unify(args[0], args[1])
     s.undo(m)
     return not ok
@@ -758,19 +757,21 @@ def _bi_assert(s, args):
     return True
 
 
-# --- builtins with several solutions: generators fn(solver, args) that
-# yield once per solution, resumed from a choicepoint ---
+# --- builtins with several solutions: fn(solver, args) -> (resume, state),
+# and resume(solver, state, goal list, choicepoints) as `Solver._try_clauses` ---
 
 
-def _bi_member(s, args):
-    item = args[0]
-    t = deref(args[1])
-    while isinstance(t, Struct) and t.name == "." and len(t.args) == 2:
-        m = s.mark()
+def _member(s, state, rest, cps):
+    """Resume `member/2`, state (item, list), at the list's first cell."""
+    item, t = state[0], deref(state[1])
+    while type(t) is Struct and t.name == "." and len(t.args) == 2:
+        mark = len(s.trail)
         if s.unify(item, t.args[0]):
-            yield
-        s.undo(m)
+            cps.append((mark, _member, (item, t.args[1]), rest))
+            return rest
+        s.undo(mark)
         t = deref(t.args[1])
+    return _FAIL
 
 
 def _bi_retract(s, args):
@@ -779,26 +780,33 @@ def _bi_retract(s, args):
     targs = template.head.args if isinstance(template.head, Struct) else ()
     candidates = s.db.clauses_for(ind, targs[0] if targs else None)
     pred = s.db.writable(ind, "retract")
-    for clause in tuple(candidates or ()):
-        m = s.mark()
-        nslots, heads, body = _rename(clause)
+    return _retract, (targs, template.body, pred, tuple(candidates or ()), 0)
+
+
+def _retract(s, state, rest, cps):
+    """Resume `retract/1`, state (head args, body, pred, candidates, i)."""
+    targs, tbody, pred, candidates, i = state
+    for i in range(i, len(candidates)):
+        mark = len(s.trail)
+        nslots, heads, body = _rename(candidates[i])
         slots = [None] * nslots
         # a clause retracted since this call began is no longer stored
-        if (s._match(heads, targs, slots) and s._match((body,), (template.body,), slots)
-                and s.db.retract(pred, clause)):
-            yield
-        s.undo(m)
+        if (s._match(heads, targs, slots) and s._match((body,), (tbody,), slots)
+                and s.db.retract(pred, candidates[i])):
+            cps.append((mark, _retract, (targs, tbody, pred, candidates, i + 1), rest))
+            return rest
+        s.undo(mark)
+    return _FAIL
 
 
 BUILTINS = {
     ("true", 0): lambda s, args: True,
     ("fail", 0): lambda s, args: False,
     ("false", 0): lambda s, args: False,
-    ("=", 2): _bi_unify,
     ("==", 2): _bi_identical,
     ("\\=", 2): _bi_not_unifiable,
     ("assert", 1): _bi_assert,
-    ("member", 2): _bi_member,
+    ("member", 2): lambda s, args: (_member, args),
     ("retract", 1): _bi_retract,
     # all solutions: (goal argument, record, finish)
     ("findall", 3): (1, lambda s, args: copy_term(args[0]),

@@ -61,11 +61,15 @@ def test_cut_is_clause_local():
     assert len(got2) == 1
 
 
+# a dynamic predicate with a rule and a fact, for `retract`
+RETRACTABLE = ":- dynamic r/1.\nr(X) :- q(X).\nr(a).\nq(b).\n"
+
 # A cut inside an all-solutions goal (findall, count, negation, an
 # if-then-else condition, a top-level query) ends that goal's solutions only;
 # a cut in a condition keeps the else branch and the clause's alternatives.
-# Generators and an inner findall under a findall are resumed from above its
-# barrier, and they keep their answer order.
+# `member`, `retract` and an inner findall under a findall are resumed from
+# above its barrier, and they keep their answer order; a condition or a
+# negation that commits to a `retract` removes one clause only.
 CUT_LOCALITY = [
     ("p(1). p(2). p(3).\n", "findall(X, (p(X), !), L)", [{"L": "[1]"}]),
     ("", "count((member(X, [a, b]), !), N)", [{"N": "1"}]),
@@ -86,6 +90,9 @@ CUT_LOCALITY = [
     ("", "findall(f(X, L), (member(X, [1, 2]), findall(Y, (member(Y, [b, X]), !), L)), R)",
      [{"R": "[f(1,[b]),f(2,[b])]"}]),
     ("", "count((member(X, [1, 2]), \\+ (member(Y, [a, b]), !, Y = b)), N)", [{"N": "2"}]),
+    (RETRACTABLE, "( retract(r(a)) -> R = yes ; R = no ), findall(Y, r(Y), L)",
+     [{"R": "yes", "L": "[b]"}]),
+    (RETRACTABLE, "\\+ retract(r(c)), R = ok", [{"R": "ok"}]),
 ]
 
 
@@ -97,10 +104,12 @@ def test_cut_stays_local_to_an_all_solutions_goal(src, goal, expected):
 
 # Control constructs: a bare `->`, a cut in a then-branch, an else-branch
 # and a plain disjunct (each commits the enclosing clause), the order in
-# which a conjunction of two generators backtracks, a condition that
+# which a conjunction of two `member` calls backtracks, a condition that
 # backtracks before it commits, if-then-else, findall, count and negation
-# called through a variable, and errors inside a collected goal, which leave
-# the trail empty.
+# called through a variable, errors inside a collected goal, which leave the
+# trail empty, `retract` of a rule (its body unifies with the template's),
+# `member` over a list with an unbound tail, and `=` binding a clause's new
+# variable again after backtracking.
 CONTROL = [
     ("", "(true -> X = a)", [{"X": "a"}]),
     ("", "(fail -> X = a)", []),
@@ -128,6 +137,14 @@ CONTROL = [
     ("", "findall(X, G, L)", EngineError("type", "unbound goal")),
     ("", "findall(Y, (member(X, [1, 0]), Y is 1 // X), L)",
      EngineError("arith", "division by zero")),
+    (RETRACTABLE, "retract((r(X) :- q(X))), findall(Y, r(Y), L)", [{"L": "[a]"}]),
+    (RETRACTABLE, "retract((r(X) :- q(c)))", [{"X": "c"}]),
+    (RETRACTABLE, "retract((r(X) :- z(X)))", []),
+    (RETRACTABLE, "retract((r(X) :- true)), findall(Y, r(Y), L)", [{"X": "a", "L": "[b]"}]),
+    ("", "member(X, [a|T])", [{"X": "a", "T": "_G1"}]),
+    ("", "( member(X, [1, 2, 3]), X > 1 -> R = X ; R = none )", [{"X": "2", "R": "2"}]),
+    ("d(R) :- ( X = a ; X = b ), X = b, R = X.\n", "d(R)", [{"R": "b"}]),
+    ("d(R) :- ( f(X) = f(a) ; f(X) = f(b) ), X = b, R = X.\n", "d(R)", [{"R": "b"}]),
 ]
 
 
@@ -583,6 +600,24 @@ def test_retract_is_linear_in_the_position_of_its_match():
     assert large < 24 * small, (small, large)
 
 
+GROW = "grow(0, L, L).\ngrow(N, L, R) :- N > 0, M is N - 1, X = [N|L], grow(M, X, R).\n"
+
+
+def _best_grow_s(n: int) -> float:
+    """CPU seconds for a loop that binds a new variable to a growing list."""
+    def prepare():
+        s, goal = solver_for(GROW), parse_term("grow(%d, [], _)" % n)
+        return lambda: s.solve_first(goal, answer=False)
+    return best_thread_s(prepare)
+
+
+def test_unify_is_linear_in_the_term_a_new_variable_takes():
+    assert term_text(first_answer(GROW, "grow(3, [], R)")["R"]) == "[1,2,3]"
+    # 8x the levels is about 8x the time when linear; 24x leaves margin
+    small, large = _best_grow_s(1_000), _best_grow_s(8_000)
+    assert large < 24 * small, (small, large)
+
+
 def test_integer_and_quoted_atom_get_different_keys():
     assert _first_arg_key(parse_term("1")) != _first_arg_key(parse_term("'1'"))
     assert _first_arg_key(parse_term("a-1")) != _first_arg_key(parse_term("a-'1'"))
@@ -778,9 +813,10 @@ def test_unify_and_identity_agree_with_the_reference_unifier(pair):
     "X = f(X)",
     "t(X, Y, g(a), X) = t(f(X), f(Y), g(b), Y)",
     "n(X, X)",  # the head n(A, f(A)) would bind X to f(X)
+    "c",  # the body's X = f(X), where X is new
 ])
 def test_unification_that_only_a_cyclic_term_satisfies_fails(within_2s, goal):
-    s = solver_for("n(A, f(A)).\n")
+    s = solver_for("n(A, f(A)).\nc :- X = f(X).\n")
     assert s.solve_first(parse_term(goal)) is None
     assert s.trail == []
 

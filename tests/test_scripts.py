@@ -1,8 +1,10 @@
 """Smoke runs of the experiment scripts the README lists, at small sizes, so
 that an API change that breaks one of them fails here, and the pinned output
 of `reader_digest.py`, so that a change to what the reader makes of its
-corpus fails here too."""
+corpus fails here too, and a parse of every Python file at the oldest
+Python that `pyproject.toml` admits."""
 
+import ast
 import os
 import re
 import subprocess
@@ -54,3 +56,13 @@ def test_reader_digest_prints_the_pinned_outcomes():
     out = subprocess.run([sys.executable, str(ROOT / "scripts" / "reader_digest.py")],
                          env=env, capture_output=True, text=True, timeout=300, check=True)
     assert out.stdout == PINNED_READER_OUTCOMES
+
+
+def test_every_python_file_parses_as_python_3_10():
+    # `requires-python` is 3.10: no file may use later syntax, such as
+    # `except*`, a `type` statement or PEP 695 type parameters
+    files = [p for d in ("src", "tests", "scripts", "perfbench")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    assert len(files) > 30
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
