@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .auth import load_key_file, AuthError
-from .protocols import asset_path
+from .protocols import load_program
 from .reader import ReaderError, parse_program, parse_term, serialize
 from .runtime import POLICIES, LinkError, NodeConfig, start_node
 from .scenario import ScenarioError, load_scenario
@@ -28,16 +28,6 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 CSV_SCHEMA = "logicnode-csv-1"
-
-
-def _load_program(path: str):
-    p = Path(path)
-    if p.exists():
-        return parse_program(p.read_text(encoding="utf-8"))
-    try:
-        return parse_program(asset_path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ReaderError("no program file or asset named %r" % path)
 
 
 def _load_facts(path: str):
@@ -58,7 +48,7 @@ def _write_csv(path, header, rows) -> None:
 
 def cmd_run(args) -> int:
     try:
-        program = _load_program(args.program)
+        program = load_program(args.program)
         facts = _load_facts(args.facts) if args.facts else []
         keystore = load_key_file(args.keys) if args.keys else None
     except (ReaderError, AuthError, OSError) as e:

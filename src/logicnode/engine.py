@@ -27,18 +27,19 @@ a predicate dynamic.
 
 Each clause is compiled once (`_rename`) into patterns over an array of
 variable slots: a slot number for a variable, the term itself for a ground
-subterm, and (name, argument patterns) for a compound that holds a
-variable.  A call matches the head patterns against its arguments directly:
-a slot met for the first time takes the argument as it is, a ground pattern
-is compared or bound, and a compound pattern is matched argument by argument
-or, against an unbound variable, built.  A fact's body `true` is proved
-there, as one step; another body goes on the goal list as a pattern with
-the call's slots, and `,`, `;` and `->` are taken apart there.  A call
-passes a slot's value or an atomic pattern as it is, and builds only a
-compound argument, or a variable for a slot's first use.  `is/2` and the
-comparisons build no expression: `arith_eval` reads their patterns over the
-slots.  A goal that is a term (a query, or a variable's value) is its own
-pattern: it holds no slot.
+subterm, and a `Pattern` (a `Struct` whose arguments are patterns) for a
+compound that holds a variable, so every walker reads a compound by its
+`name` and `args`, pattern or term alike.  A call matches the head patterns
+against its arguments directly: a slot met for the first time takes the
+argument as it is, a ground pattern is compared or bound, and a compound
+pattern is matched argument by argument or, against an unbound variable,
+built.  A fact's body `true` is proved there, as one step; another body
+goes on the goal list as a pattern with the call's slots, and `,`, `;` and
+`->` are taken apart there.  A call passes a slot's value or an atomic
+pattern as it is, and builds only a compound argument, or a variable for a
+slot's first use.  `is/2` and the comparisons build no expression:
+`arith_eval` reads their patterns over the slots.  A goal that is a term (a
+query, or a variable's value) is its own pattern: it holds no slot.
 
 `Solver._match` is the only unifier.  It takes patterns or plain terms, so
 head matching, `retract`, `=`, `Solver.unify` (`\=`, `member` and the
@@ -98,6 +99,13 @@ class EngineError(Exception):
         super().__init__("%s: %s" % (kind, message))
         self.kind = kind
         self.message = message
+
+
+class Pattern(Struct):
+    """A compound of a compiled clause that holds a variable, over patterns.
+    It never leaves the engine: builtins, slots and answers get built terms."""
+
+    __slots__ = ()
 
 
 class SolveLimits:
@@ -249,8 +257,9 @@ def _patterns(terms: tuple) -> tuple:
     """(slot count, the pattern of each term)."""
     slots: dict = {}  # id of a variable -> its slot
     done: list = []  # patterns, in order
-    # terms still to compile; a 1-tuple (compound,) makes that compound's
-    # pattern from the last patterns, one per argument
+    # terms still to compile; a 1-tuple (compound,) marker makes that
+    # compound's pattern from the last patterns, one per argument: a `Pattern`
+    # if one of them is a slot or a `Pattern`, else the compound itself
     todo = list(reversed(terms))
     while todo:
         t = todo.pop()
@@ -259,8 +268,8 @@ def _patterns(terms: tuple) -> tuple:
             n = len(t.args)
             args = tuple(done[-n:])
             del done[-n:]
-            if any(type(a) is int or type(a) is tuple for a in args):
-                done.append((t.name, args))
+            if any(type(a) is int or type(a) is Pattern for a in args):
+                done.append(Pattern(t.name, args))
             else:
                 done.append(t)  # ground: shared by every call
             continue
@@ -284,8 +293,8 @@ def _build(p, slots: list) -> Term:
             v = slots[p] = Var("_G")
         return v
     done: list = []
-    # patterns still to build; a (name, n) entry makes a compound of the
-    # last n terms built
+    # patterns still to build; a `Pattern` leaves a (name, n) marker under
+    # its arguments, which makes a `Struct` of the last n terms built
     todo = [p]
     while todo:
         x = todo.pop()
@@ -295,16 +304,16 @@ def _build(p, slots: list) -> Term:
             if v is None:
                 v = slots[x] = Var("_G")
             done.append(v)
-        elif tx is not tuple:
-            done.append(x)
-        elif type(x[1]) is tuple:  # a compound pattern
-            todo.append((x[0], len(x[1])))
-            todo.extend(reversed(x[1]))
-        else:
-            n = x[1]
+        elif tx is Pattern:
+            todo.append((x.name, len(x.args)))
+            todo.extend(reversed(x.args))
+        elif tx is tuple:
+            name, n = x
             args = tuple(done[-n:])
             del done[-n:]
-            done.append(Struct(x[0], args))
+            done.append(Struct(name, args))
+        else:
+            done.append(x)
     return done[0]
 
 
@@ -418,7 +427,7 @@ class Solver:
                 # two of the three lines that bind a variable (`=` has one),
                 # each after it is trailed and checked not to occur in its value
                 if type(t) is Var:
-                    if tp is tuple:
+                    if tp is Pattern:
                         p = _build(p, slots)
                     if type(p) is Struct and _occurs(t, p):
                         return False
@@ -429,11 +438,6 @@ class Solver:
                         return False
                     trail.append(p)
                     p.ref = t
-                elif tp is tuple:
-                    if not (type(t) is Struct and t.name == p[0]
-                            and len(t.args) == len(p[1])):
-                        return False
-                    todo.append((p[1], t.args))
                 elif tp is Atom:
                     if not (type(t) is Atom and t.name == p.name):
                         return False
@@ -441,7 +445,7 @@ class Solver:
                     if not (type(t) is Int and t.value == p.value):
                         return False
                 elif (type(t) is Struct and t.name == p.name
-                      and len(t.args) == len(p.args)):  # p is a term's compound
+                      and len(t.args) == len(p.args)):  # p is a Struct or a Pattern
                     todo.append((p.args, t.args))
                 else:
                     return False
@@ -495,9 +499,7 @@ class Solver:
             if tg is int or tg is Var:  # a variable: call its value
                 goal = deref(goal if tg is Var else slots[goal])
                 tg = type(goal)
-            if tg is tuple:
-                name, args = goal
-            elif tg is Struct:
+            if tg is Struct or tg is Pattern:
                 name = goal.name
                 args = goal.args
             elif tg is Atom:
@@ -514,12 +516,9 @@ class Solver:
                 goals = rest
             elif arity == 2 and name == ";":
                 left = deref(slots[args[0]] if type(args[0]) is int else args[0])
-                if type(left) is tuple and left[0] == "->" and len(left[1]) == 2:
-                    cond = left[1]
-                elif type(left) is Struct and left.name == "->" and len(left.args) == 2:
-                    cond = left.args
-                else:
-                    cond = None
+                tl = type(left)
+                cond = (left.args if (tl is Struct or tl is Pattern) and left.name == "->"
+                        and len(left.args) == 2 else None)
                 cps.append((len(trail), None, None, (args[1], slots, height, rest)))
                 if cond is None:
                     goals = (left, slots, height, rest)
@@ -534,7 +533,7 @@ class Solver:
                 goals = (args[0], slots, len(cps), (_COMMIT, None, len(cps) - 1, _FAIL))
             elif arity == 2 and name == "=":  # built first, `right` holds no newer variable
                 left, right = args
-                if type(right) is int or type(right) is tuple:
+                if type(right) is int or type(right) is Pattern:
                     right = _build(right, slots)
                 if type(left) is int and slots[left] is None:  # no occurs walk; trailed,
                     v = slots[left] = Var("_G")  # as backtracking resets no slot
@@ -552,9 +551,9 @@ class Solver:
                     ok = test(arith_eval(args[0], slots), arith_eval(args[1], slots))
                 goals = rest if ok else _FAIL
             else:
-                if tg is tuple:  # build only compounds; a slot's first use makes a variable
+                if tg is Pattern:  # build only compounds; a slot's first use makes a variable
                     args = [(slots[p] or _build(p, slots)) if type(p) is int
-                            else _build(p, slots) if type(p) is tuple else p for p in args]
+                            else _build(p, slots) if type(p) is Pattern else p for p in args]
                 key = (name, arity)
                 builtin = builtins.get(key)
                 if type(builtin) is tuple:  # collect the solutions above a barrier
@@ -653,8 +652,8 @@ def arith_eval(p, slots: Optional[list]) -> int:
     if type(p) is Int:  # most comparisons and many `is` goals
         return p.value
     values: list = []
-    # patterns still to evaluate; an (operator, arity) entry applies an
-    # operator to the last `arity` values
+    # patterns still to evaluate (a `Pattern` reads as its term's `Struct`);
+    # an (operator, arity) marker applies an operator to the last `arity` values
     todo: list = [p]
     while todo:
         x = todo.pop()
@@ -668,31 +667,30 @@ def arith_eval(p, slots: Optional[list]) -> int:
         if tx is Int:
             values.append(x.value)
             continue
-        if tx is tuple:
-            name, args = x
-            if type(args) is int:  # an operator, not a compound pattern
-                if args == 1:  # negation
-                    values.append(_check_int(-values.pop()))
-                    continue
-                y = values.pop()
-                v = values.pop()
-                if name == "+":
-                    v += y
-                elif name == "-":
-                    v -= y
-                elif name == "*":
-                    v *= y
-                elif name != "//" and name != "mod":
-                    raise EngineError("type", "not an arithmetic expression")
-                elif y == 0:
-                    raise EngineError("arith", "division by zero")
-                elif name == "mod":
-                    v %= y
-                else:  # truncates toward zero
-                    v = abs(v) // abs(y) * (-1 if (v < 0) != (y < 0) else 1)
-                values.append(_check_int(v))
+        if tx is tuple:  # an operator
+            name, arity = x
+            if arity == 1:  # negation
+                values.append(_check_int(-values.pop()))
                 continue
-        elif tx is Struct:
+            y = values.pop()
+            v = values.pop()
+            if name == "+":
+                v += y
+            elif name == "-":
+                v -= y
+            elif name == "*":
+                v *= y
+            elif name != "//" and name != "mod":
+                raise EngineError("type", "not an arithmetic expression")
+            elif y == 0:
+                raise EngineError("arith", "division by zero")
+            elif name == "mod":
+                v %= y
+            else:  # truncates toward zero
+                v = abs(v) // abs(y) * (-1 if (v < 0) != (y < 0) else 1)
+            values.append(_check_int(v))
+            continue
+        if tx is Struct or tx is Pattern:
             name, args = x.name, x.args
         elif x is None or tx is Var:
             raise EngineError("type", "unbound variable in arithmetic")

@@ -11,14 +11,20 @@ ASSET_DIR = Path(__file__).parent / "assets"
 
 
 def asset_path(name: str) -> Path:
-    p = ASSET_DIR / ("%s.dahl" % name)
-    if not p.exists():
-        raise FileNotFoundError("no protocol asset %r" % name)
-    return p
+    return ASSET_DIR / ("%s.dahl" % name)
 
 
 def load_asset(name: str) -> Program:
     return parse_program(asset_path(name).read_text(encoding="utf-8"))
+
+
+def load_program(name: str, base: Path | str = ".") -> Program:
+    """The program in the file `name`, relative to the directory `base`, or
+    else the bundled asset `name`; FileNotFoundError if it is neither."""
+    for p in (Path(base, name), asset_path(name)):
+        if p.is_file():
+            return parse_program(p.read_text(encoding="utf-8"))
+    raise FileNotFoundError("no program file or asset named %r" % name)
 
 
 def facts(*texts: str) -> list:

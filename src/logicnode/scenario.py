@@ -33,7 +33,7 @@ from .auth import load_key_file
 from .reader import Clause, ReaderError, parse_program, parse_term
 from .runtime import POLICIES, NodeConfig
 from .sim import LinkModel, SimNetwork
-from .protocols import asset_path
+from .protocols import load_program
 from .terms import Atom
 
 _METRIC_OPS = {
@@ -145,17 +145,6 @@ class Scenario:
 
     # --- execution ---
 
-    def _resolve_program(self, n: int, src: str):
-        if src.endswith(".dahl") or "/" in src:
-            p = self.base / src
-            if not p.exists():
-                raise ScenarioError(n, "no program file %s" % p)
-            return parse_program(p.read_text(encoding="utf-8"))
-        try:
-            return parse_program(asset_path(src).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ScenarioError(n, "unknown program asset %r" % src)
-
     def run(self, seed: Optional[int] = None) -> ScenarioReport:
         net = SimNetwork(seed=self.seed if seed is None else seed, links=self.links)
         report = ScenarioReport(net=net)
@@ -171,7 +160,10 @@ class Scenario:
                 keystore = load_key_file(str(p))
         for st in self.stmts:
             if st.op == "program":
-                programs[st.args[0]] = self._resolve_program(st.line_no, st.args[1])
+                try:
+                    programs[st.args[0]] = load_program(st.args[1], self.base)
+                except FileNotFoundError as e:
+                    raise ScenarioError(st.line_no, str(e)) from None
             elif st.op == "node":
                 addr, prog = st.args
                 if prog not in programs:

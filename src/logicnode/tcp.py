@@ -21,10 +21,13 @@ for the rest, and no other write is tried meanwhile, so no handler waits on
 a peer.  So the replies to a long batch start to leave while it runs, and
 a peer that waits for them can send more.  Outbound connections set
 `TCP_NODELAY`: without it Nagle's algorithm holds back each small write
-until the last one is acknowledged.  A failed write is retried once on a
-new connection from the first frame not taken whole; then the frames are
-dropped and logged.  When the queues of all peers pass `QUEUE_LIMIT`
-bytes, the longest is dropped with its connection, and logged.
+until the last one is acknowledged.  Before a write that starts at a frame,
+a cached connection that the peer has closed (a restart) is replaced: a
+write into it would succeed, and its frames would be lost unlogged.  A
+failed write is retried once on a new connection from the first frame not
+taken whole; then the frames are dropped and logged.  When the queues of
+all peers pass `QUEUE_LIMIT` bytes, the longest is dropped with its
+connection, and logged.
 
 A `$dump` reply takes the same path: once the request is dispatched, its
 connection leaves the read set, the reply is queued under that socket, a
@@ -76,6 +79,16 @@ def split_hostport(address: str) -> Tuple[str, int]:
 
 def _now_ms() -> float:
     return time.monotonic() * 1000.0
+
+
+def _closed_by_peer(sock: socket.socket) -> bool:
+    """Whether the peer has closed or reset `sock`, without reading from it."""
+    try:
+        return not sock.recv(1, socket.MSG_PEEK)
+    except BlockingIOError:  # open, and nothing to read
+        return False
+    except OSError:
+        return True
 
 
 def _frames_within(queue: bytearray, n: int) -> Tuple[int, int]:
@@ -147,12 +160,19 @@ class TcpTransport:
     def _pump(self, peer) -> None:
         """Write in one send what peer's socket takes of its queue, which
         starts at the first frame not taken whole; while some is left, the
-        socket waits for EVENT_WRITE."""
+        socket waits for EVENT_WRITE.  A connection the peer has closed is
+        replaced first, unless a frame is part-way written."""
         queued = self._queued[peer]
         queue = queued[0]
         for retry in (False, True):
             try:
-                sock = self._connection(peer) if type(peer) is str else peer
+                if type(peer) is not str:
+                    sock = peer
+                else:
+                    sock = self._connection(peer)
+                    if not (retry or queued[1]) and _closed_by_peer(sock):
+                        self._evict(peer)
+                        sock = self._connection(peer)
                 with memoryview(queue)[queued[1]:] as rest:
                     queued[1] += sock.send(rest)
                 break

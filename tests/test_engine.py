@@ -864,3 +864,37 @@ def test_condition_nested_5000_deep_succeeds():
         goal = Struct(";", (Struct("->", (goal, Atom("true"))), Atom("fail")))
     got = Solver(Database()).solve_first(goal)
     assert got is not None and term_text(got["X"]) == "a"
+
+
+# goals over X and Y: facts, compound heads, unification, tests, arithmetic,
+# cut and the all-solutions builtins, under every control construct
+PARITY_SRC = "p(1). p(2). p(3). q(f(1), a). q(f(2), b). q(g, c).\n"
+BODY_GOALS = st.recursive(
+    st.sampled_from(["p(X)", "p(2)", "member(X, [3, 1])", "X = 1", "X = f(Y)",
+                     "q(f(X), Y)", "q(X, c)", "Y = X", "X == Y", "X \\= 2",
+                     "Y is X + 1", "X < 3", "!", "true", "fail",
+                     "findall(Z, p(Z), X)", "count(p(_), X)"]),
+    lambda inner: st.one_of(st.builds("({}, {})".format, inner, inner),
+                            st.builds("({} ; {})".format, inner, inner),
+                            st.builds("({} -> {})".format, inner, inner),
+                            st.builds("({} -> {} ; {})".format, inner, inner, inner),
+                            st.builds("\\+ {}".format, inner)),
+    max_leaves=8)
+
+
+def xy_answers(s: Solver, goal: str):
+    """The X and Y of each answer, or the error's kind and message."""
+    try:
+        return [(term_text(a["X"]), term_text(a["Y"])) for a in s.solve_all(parse_term(goal))]
+    except EngineError as e:
+        return (e.kind, e.message)
+
+
+@settings(max_examples=500, deadline=None)
+@given(BODY_GOALS)
+@example("(p(X) -> Y = X ; X = 1)")  # a compiled `->` under `;` is an if-then-else
+@example("(q(X, Y), ! ; Y is X + 1)")
+def test_a_clause_body_answers_as_the_same_goal_run_as_a_term(goal):
+    # the body runs compiled, over the clause's slots; the query runs as a term
+    compiled = xy_answers(solver_for(PARITY_SRC + "t(X, Y) :- %s.\n" % goal), "t(X, Y)")
+    assert compiled == xy_answers(solver_for(PARITY_SRC), "%s, X = X, Y = Y" % goal)

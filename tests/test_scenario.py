@@ -2,6 +2,7 @@ import pytest
 
 from logicnode.auth import full_mesh_keystore, write_key_file
 from logicnode.cli import main
+from logicnode.protocols import load_program
 from logicnode.scenario import Scenario, ScenarioError, load_scenario
 
 PING_PROG = """\
@@ -148,6 +149,21 @@ def test_seed_override(workdir):
 def test_asset_programs_resolve():
     s = Scenario("program t spanning_tree\nnode n1 t\n")
     assert s.run().ok
+
+
+def test_scenarios_and_the_cli_find_a_program_by_one_rule(workdir, monkeypatch, capsys):
+    # a file, relative to the scenario's directory or the working directory,
+    # then a bundled asset
+    (workdir / "pinger").write_text(PING_PROG)
+    assert run_text(workdir, "program p pinger\nnode n1 p\n").ok
+    with pytest.raises(ScenarioError) as err:
+        run_text(workdir, "program p ping.dahl\nprogram q nosuch\n")
+    assert err.value.line_no == 2
+    assert str(err.value) == "line 2: no program file or asset named 'nosuch'"
+    monkeypatch.chdir(workdir)
+    assert len(load_program("pinger").clauses) == 1
+    assert main(["run", "nosuch", "--bind", "127.0.0.1:0"]) == 2
+    assert capsys.readouterr().err == "error: no program file or asset named 'nosuch'\n"
 
 
 def write_scenario(workdir, text) -> str:

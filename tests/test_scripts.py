@@ -1,10 +1,11 @@
 """Smoke runs of the experiment scripts the README lists, at small sizes, so
 that an API change that breaks one of them fails here, and the pinned output
 of `reader_digest.py`, so that a change to what the reader makes of its
-corpus fails here too, and a parse of every Python file at the oldest
-Python that `pyproject.toml` admits."""
+corpus fails here too, a parse of every Python file at the oldest Python
+that `pyproject.toml` admits, and one tiny run of `bench_trajectory.py`."""
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -66,3 +67,19 @@ def test_every_python_file_parses_as_python_3_10():
     assert len(files) > 30
     for path in files:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def test_bench_trajectory_records_a_smoke_run(tmp_path):
+    if subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True).returncode:
+        pytest.skip("not a git checkout with a commit")
+    out = tmp_path / "bench.json"
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_trajectory.py"), "HEAD",
+                    "--pairs", "1", "--seconds", "0.01", "--workloads", "replication",
+                    "--out", str(out)], capture_output=True, timeout=120, check=True)
+    got = json.loads(out.read_text())
+    assert len(got["commits"]) == 1 and got["cpu_count"] == os.cpu_count()
+    (result,) = got["results"]
+    (run,) = result["workloads"]["replication"]["runs"]
+    assert run["correct"] is True and run["failed"] == 0, run
+    rate = result["workloads"]["replication"]["metrics"]["req_per_s"]
+    assert rate["q1"] <= rate["median"] <= rate["q3"] and rate["values"] == [rate["median"]]

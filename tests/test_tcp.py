@@ -660,6 +660,9 @@ class _BreaksAfter:
         self.left -= took
         return took
 
+    def recv(self, n: int, flags: int = 0) -> bytes:
+        raise BlockingIOError  # still open, nothing to read
+
     def close(self):
         for s in self.pair:
             s.close()
@@ -694,6 +697,34 @@ def test_a_write_that_fails_twice_is_logged_and_the_node_goes_on(caplog):
             Envelope(client, b"ping('%s', 1)" % client.encode())))
         assert read_payloads(listener, 1) == [b"pong(1)"]
         assert node.metrics.delivered == 2
+    finally:
+        listener.close()
+        transport.stop()
+
+
+RESTART_SRC = """
+:- event go/2.
+go(P, X) :- send(P, X).
+"""
+
+
+def test_a_peer_that_restarts_loses_no_message():
+    # the peer closes the cached connection and listens again: a write into
+    # the closed connection would succeed, and the message would be lost
+    listener, peer = raw_listener()
+    addr, node, transport, _ = start_server(RESTART_SRC)
+    try:
+        for i, msg in enumerate([b"m1", b"m2", b"m3", b"m4"]):
+            if i == 1:
+                assert read_payloads(listener, 1) == [b"m1"]  # then closes it
+                listener.close()
+                listener = socket.create_server(split_hostport(peer))
+                listener.settimeout(5)
+            send_raw(addr, encode_envelope(Envelope("t", b"go('%s', %s)" % (
+                peer.encode(), msg))))
+            assert wait_for(lambda: node.metrics.delivered == i + 1)
+        assert read_payloads(listener, 3) == [b"m2", b"m3", b"m4"]
+        assert node.metrics.sends == 4
     finally:
         listener.close()
         transport.stop()
