@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .auth import load_key_file, AuthError
+from .engine import EngineError
 from .protocols import load_program
 from .reader import ReaderError, parse_program, parse_term, serialize
 from .runtime import POLICIES, LinkError, NodeConfig, start_node
@@ -28,10 +29,6 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 CSV_SCHEMA = "logicnode-csv-1"
-
-
-def _load_facts(path: str):
-    return parse_program(Path(path).read_text(encoding="utf-8")).clauses
 
 
 def _write_csv(path, header, rows) -> None:
@@ -49,7 +46,8 @@ def _write_csv(path, header, rows) -> None:
 def cmd_run(args) -> int:
     try:
         program = load_program(args.program)
-        facts = _load_facts(args.facts) if args.facts else []
+        facts = (parse_program(Path(args.facts).read_text(encoding="utf-8")).clauses
+                 if args.facts else [])
         keystore = load_key_file(args.keys) if args.keys else None
     except (ReaderError, AuthError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
@@ -62,10 +60,13 @@ def cmd_run(args) -> int:
     config = NodeConfig(address=args.bind, program=program, facts=facts,
                         policy=args.policy, keystore=keystore,
                         debug_endpoint=not args.no_debug)
-    start_node(config, transport)
-    print("listening on %s" % args.bind, flush=True)
     try:
+        start_node(config, transport)  # a clause for a builtin is refused here
+        print("listening on %s" % args.bind, flush=True)
         transport.run()
+    except EngineError as e:
+        print("error: %s" % e, file=sys.stderr)
+        return EXIT_USAGE
     except KeyboardInterrupt:
         pass
     finally:
@@ -78,15 +79,10 @@ def cmd_run(args) -> int:
 
 def cmd_sim(args) -> int:
     try:
-        scenario = load_scenario(args.scenario)
+        report = load_scenario(args.scenario).run(seed=args.seed)
     except OSError as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
-    except ScenarioError as e:
-        print("scenario error: %s" % e, file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        report = scenario.run(seed=args.seed)
     except ScenarioError as e:
         print("scenario error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
@@ -111,46 +107,17 @@ def cmd_sim(args) -> int:
 
 def cmd_bench(args) -> int:
     from . import bench
-    if args.server:
-        node, transport = bench.make_server(args.server)
-        print("echo server on %s" % args.server, flush=True)
-        try:
-            transport.run()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            transport.stop()
-        print("delivered=%d" % node.metrics.delivered)
-        return EXIT_OK
-    if not args.client or not args.bind:
-        print("error: need --server BIND or --client ADDR with --bind ADDR",
-              file=sys.stderr)
-        return EXIT_USAGE
-    host, port = split_hostport(args.bind)
-    reports = []
-    import threading
-    threads = []
-    lock = threading.Lock()
-
-    def one(i):
-        addr = "%s:%d" % (host, port + i)
-        rep = bench.run_client(args.client, addr, args.duration, args.window)
-        with lock:
-            reports.append(rep)
-
-    for i in range(args.conns):
-        t = threading.Thread(target=one, args=(i,))
-        t.start()
-        threads.append(t)
-    for t in threads:
-        t.join()
-    sent = sum(r.client_sent for r in reports)
-    recv = sum(r.client_received for r in reports)
-    errs = sum(r.errors for r in reports)
-    dur = max(r.duration_s for r in reports)
+    try:
+        rep = bench.run_client(args.client, args.bind, args.duration, args.window,
+                               args.conns)
+    except OSError as e:
+        print("error: %s" % e, file=sys.stderr)
+        return EXIT_RUNTIME
+    dur = rep.duration_s
     print("conns=%d duration=%.2fs sent=%d received=%d errors=%d req/s=%.0f"
-          % (args.conns, dur, sent, recv, errs, recv / dur if dur else 0.0))
-    return EXIT_OK if errs == 0 else EXIT_RUNTIME
+          % (args.conns, dur, rep.client_sent, rep.client_received, rep.errors,
+             rep.client_received / dur if dur else 0.0))
+    return EXIT_OK if rep.errors == 0 else EXIT_RUNTIME
 
 
 # --- chord experiment ---
@@ -301,9 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_sim)
 
     b = sub.add_parser("bench-pingpong", help="request/response throughput bench")
-    b.add_argument("--server", help="serve echo on this host:port")
-    b.add_argument("--client", help="benchmark against this server address")
-    b.add_argument("--bind", help="client reply address (host:port base)")
+    b.add_argument("--client", required=True, help="address of `run pingpong_server`")
+    b.add_argument("--bind", required=True, help="client reply address (host:port base)")
     b.add_argument("--conns", type=int, default=1)
     b.add_argument("--duration", type=float, default=10.0)
     b.add_argument("--window", type=int, default=128)
@@ -338,7 +304,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    addresses = [vars(args).get(k) for k in ("bind", "server", "client", "addr")]
+    addresses = [vars(args).get(k) for k in ("bind", "client", "addr")]
     try:  # each host:port argument, before the command runs
         for address in filter(None, addresses):
             split_hostport(address)

@@ -23,7 +23,9 @@ database order, its first-argument index, and its `dynamic`, `event` and
 handler programs routinely query predicates before the first matching
 assert.  A predicate is static when it holds clauses and is not dynamic, and
 only then do `assert` and `retract` raise `permission`; a first assert makes
-a predicate dynamic.
+a predicate dynamic.  They raise it too for an indicator in `RESERVED`, the
+ones the engine runs itself, and so does a clause or a directive: no record
+is made for one, as no call would read it.
 
 Each clause is compiled once (`_rename`) into patterns over an array of
 variable slots: a slot number for a variable, the term itself for a ground
@@ -139,7 +141,7 @@ class Database:
     def load_program(self, prog: Program) -> None:
         for d in prog.directives:
             for ind in d.indicators:
-                setattr(self.preds.setdefault(ind, Predicate()), d.kind, True)
+                setattr(self._record(ind, "directive"), d.kind, True)
         for c in prog.clauses:
             self.add_clause(c)
 
@@ -148,12 +150,19 @@ class Database:
         ind = indicator(clause.head)
         if ind is None:
             raise EngineError("type", "clause head is not callable")
-        pred = self.preds.get(ind)
-        if pred is None:
-            pred = self.preds[ind] = Predicate()
+        pred = self._record(ind, "clause")
         pred.append(clause)
         if pred.index is not None:
             self._file(pred.index, clause)
+        return pred
+
+    def _record(self, ind, what: str) -> Predicate:
+        """The record of `ind`, made on its first use; a `RESERVED` one raises."""
+        pred = self.preds.get(ind)
+        if pred is None:
+            if ind in RESERVED:
+                raise EngineError("permission", "%s for builtin %s/%d" % (what, *ind))
+            pred = self.preds[ind] = Predicate()
         return pred
 
     def _file(self, index: dict, clause: Clause) -> None:
@@ -201,8 +210,11 @@ class Database:
         return () if one is None else one[0]
 
     def writable(self, ind, what: str) -> Optional[Predicate]:
-        """The record of `ind`, or None; raises if the predicate is static."""
+        """The record of `ind`, or None; raises if the predicate is static or
+        `RESERVED`."""
         pred = self.preds.get(ind)
+        if pred is None and ind in RESERVED:
+            raise EngineError("permission", "%s for builtin %s/%d" % (what, *ind))
         if pred and not pred.dynamic:  # static: it holds clauses and is not dynamic
             raise EngineError("permission", "%s on static predicate %s/%d" % (what, *ind))
         return pred
@@ -241,7 +253,7 @@ def _rename(clause: Clause) -> tuple:
 
     Called once per clause a call or a `retract` tries.
     """
-    code = getattr(clause, "code", None)
+    code = clause.code
     if code is None:
         head = deref(clause.head)
         nslots, patterns = _patterns((head.args if type(head) is Struct else ())
@@ -812,3 +824,9 @@ BUILTINS = {
     ("count", 2): (0, lambda s, args: None,
                    lambda s, args, notes: s.unify(args[1], Int(len(notes)))),
 }
+
+# the indicators the engine runs itself (the builtins, the control
+# constructs, `=` and the arithmetic goals): no clause, directive, assert or
+# retract may name one, since no call would read it
+RESERVED = frozenset(chain(BUILTINS, ((n, 2) for n in _ARITH), [
+    (",", 2), ("!", 0), (";", 2), ("->", 2), ("\\+", 1), ("=", 2)]))

@@ -159,10 +159,11 @@ def tokenize(text: str) -> list:
     return toks
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Clause:
     head: Term
     body: Term
+    code: Optional[tuple] = field(default=None, repr=False)  # compiled by engine._rename
 
 
 @dataclass

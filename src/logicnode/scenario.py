@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .auth import load_key_file
+from .engine import EngineError
 from .reader import Clause, ReaderError, parse_program, parse_term
 from .runtime import POLICIES, NodeConfig
 from .sim import LinkModel, SimNetwork
@@ -170,8 +171,11 @@ class Scenario:
                     raise ScenarioError(st.line_no, "undeclared program %r" % prog)
                 if addr in net.nodes:
                     raise ScenarioError(st.line_no, "duplicate node %r" % addr)
-                net.add_node(NodeConfig(address=addr, program=programs[prog],
-                                        keystore=keystore))
+                try:  # the program may not define a builtin
+                    net.add_node(NodeConfig(address=addr, program=programs[prog],
+                                            keystore=keystore))
+                except EngineError as e:
+                    raise ScenarioError(st.line_no, str(e)) from None
         for st in self.stmts:
             node = None
             if st.op in ("fact", "facts", "policy") :
@@ -179,15 +183,18 @@ class Scenario:
                 node = net.nodes.get(addr)
                 if node is None:
                     raise ScenarioError(st.line_no, "unknown node %r" % addr)
-            if st.op == "fact":
-                node.db.add_clause(Clause(st.args[1], Atom("true")))
-            elif st.op == "facts":
-                p = self.base / st.args[1]
-                if not p.exists():
-                    raise ScenarioError(st.line_no, "no facts file %s" % p)
-                for c in parse_program(p.read_text(encoding="utf-8")).clauses:
-                    node.db.add_clause(c)
-            elif st.op == "policy":
+            try:  # a fact for a builtin, or a facts file that does not parse
+                if st.op == "fact":
+                    node.db.add_clause(Clause(st.args[1], Atom("true")))
+                elif st.op == "facts":
+                    p = self.base / st.args[1]
+                    if not p.exists():
+                        raise ScenarioError(st.line_no, "no facts file %s" % p)
+                    for c in parse_program(p.read_text(encoding="utf-8")).clauses:
+                        node.db.add_clause(c)
+            except (EngineError, ReaderError) as e:
+                raise ScenarioError(st.line_no, str(e)) from None
+            if st.op == "policy":
                 if st.args[1] not in POLICIES:
                     raise ScenarioError(st.line_no, "unknown policy %r" % st.args[1])
                 node.config.policy = st.args[1]

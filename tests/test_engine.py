@@ -279,6 +279,33 @@ def test_assert_and_retract_follow_the_declaration_rule(case):
     assert got == expected
 
 
+# a program, and goals, that name a predicate the engine runs itself: a key
+# of `BUILTINS`, a control construct, `=` or an arithmetic goal
+RESERVED_PROGRAMS = ["member(a, b).\n", "count(X, 1) :- true.\n", "true.\n",
+                     ":- dynamic count/2.\n", ":- event findall/3.\n",
+                     "(a, b).\n", "!.\n", "(a ; b).\n", "(a -> b).\n", "\\+ a.\n",
+                     "a = b.\n", "X is 1.\n", "a < b.\n"]
+RESERVED_GOALS = ["assert(findall(x, y, z))", "assert((member(X, Y) :- true))",
+                  "assert(fail)", "assert((a, b))", "assert(a = b)", "assert(1 >= 2)",
+                  "retract(member(_, _))", "retract((a ; b))", "retract(X is 1)"]
+
+
+@pytest.mark.parametrize("src", RESERVED_PROGRAMS)
+def test_a_program_may_not_define_a_builtin(src):
+    with pytest.raises(EngineError) as e:
+        Database().load_program(parse_program(src))
+    assert e.value.kind == "permission"
+
+
+@pytest.mark.parametrize("goal", RESERVED_GOALS)
+def test_assert_and_retract_may_not_change_a_builtin(goal):
+    s = solver_for("p(a).\n")
+    with pytest.raises(EngineError) as e:
+        s.solve_first(parse_term(goal))
+    assert e.value.kind == "permission"
+    assert s.solve_first(parse_term("member(a, [a]), \\+ findall(_, fail, [_])")) == {}
+
+
 def test_assert_snapshots_current_bindings():
     s = solver_for(":- dynamic p/1.\n")
     s.solve_first(parse_term("X = f(a), assert(p(X))"))

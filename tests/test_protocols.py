@@ -3,6 +3,7 @@ import random
 import pytest
 
 from logicnode import engine
+from logicnode.cli import main as cli_main
 from logicnode.protocols.chord import (
     ChordParams, ChordSim, make_addresses, node_id, static_experiment)
 from logicnode.protocols.spanning_tree import (
@@ -149,6 +150,16 @@ def test_static_experiment_small():
     sim = static_experiment(8, 20, seed=2)
     assert len(sim.results) == 20
     assert all(r.consistent for r in sim.results)
+
+
+def test_experiment_chord_writes_three_csvs(tmp_path, capsys):
+    argv = ["experiment-chord", "--nodes", "4", "--lookups", "20", "--out", str(tmp_path)]
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out.startswith("nodes=4 lookups=20 answered=")
+    for name in ("latency_cdf.csv", "hops.csv", "consistency.csv"):
+        assert (tmp_path / name).read_text().splitlines()[0] == "schema,logicnode-csv-1"
+    rows = (tmp_path / "consistency.csv").read_text().splitlines()
+    assert rows[1] == "mode,consistency" and rows[2].startswith("static,")
 
 
 # --- speculative replication, phase one ---

@@ -1,9 +1,12 @@
+import socket
+
 import pytest
 
 from logicnode.auth import full_mesh_keystore, write_key_file
 from logicnode.cli import main
 from logicnode.protocols import load_program
 from logicnode.scenario import Scenario, ScenarioError, load_scenario
+from logicnode.tcp import split_hostport
 
 PING_PROG = """\
 :- event ping/1.
@@ -164,6 +167,28 @@ def test_scenarios_and_the_cli_find_a_program_by_one_rule(workdir, monkeypatch, 
     assert len(load_program("pinger").clauses) == 1
     assert main(["run", "nosuch", "--bind", "127.0.0.1:0"]) == 2
     assert capsys.readouterr().err == "error: no program file or asset named 'nosuch'\n"
+
+
+def test_a_clause_for_a_builtin_is_an_error_of_its_line_or_a_usage_error(
+        workdir, monkeypatch, capsys):
+    (workdir / "bad.dahl").write_text("member(a, b).\n")
+    (workdir / "bad.facts").write_text("count(a, 1).\n")
+    for text, line_no in [("program p bad.dahl\nnode n1 p\n", 2),
+                          ("program p ping.dahl\nnode n1 p\nfact n1 member(a, b)\n", 3),
+                          ("program p ping.dahl\nnode n1 p\nfacts n1 bad.facts\n", 3)]:
+        with pytest.raises(ScenarioError) as err:
+            run_text(workdir, text)
+        assert err.value.line_no == line_no
+    monkeypatch.chdir(workdir)
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        addr = "127.0.0.1:%d" % s.getsockname()[1]
+    assert main(["run", "bad.dahl", "--bind", addr]) == 2
+    assert main(["run", "ping.dahl", "--facts", "bad.facts", "--bind", addr]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: permission: clause for builtin member/2",
+        "error: permission: clause for builtin count/2"]
+    socket.create_server(split_hostport(addr)).close()  # the node let its port go
 
 
 def write_scenario(workdir, text) -> str:

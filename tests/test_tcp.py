@@ -9,6 +9,7 @@ import pytest
 
 from logicnode import tcp
 from logicnode.cli import EXIT_RUNTIME, EXIT_USAGE, main as cli_main
+from logicnode.protocols import asset_path
 from logicnode.reader import Clause, parse_program, parse_term, serialize
 from logicnode.runtime import NodeConfig, start_node
 from logicnode.tcp import INBOX_LIMIT, TcpTransport, split_hostport
@@ -234,13 +235,32 @@ def test_cli_dump_reports_a_broken_reply_as_a_runtime_error(reply, capsys):
     ["run", "pingpong_server", "--bind", "127.0.0.1:99999"],
     ["inject", "nonsense", "ping"],
     ["dump", "nonsense", "p/1"],
-    ["bench-pingpong", "--server", "127.0.0.1:port"],
+    ["bench-pingpong", "--client", "127.0.0.1:port", "--bind", "127.0.0.1:1"],
     ["bench-pingpong", "--client", "127.0.0.1:1", "--bind", "127.0.0.1:-1"],
 ])
 def test_cli_reports_a_malformed_address_as_a_usage_error(argv, capsys):
     assert cli_main(argv) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: address must be host:port"), err
+
+
+def test_bench_pingpong_runs_against_a_pingpong_server(capsys):
+    # earlier tests' stopped transports may still be exiting, so the check is
+    # that no thread alive at the end started during this test
+    threads = set(threading.enumerate())
+    addr, node, transport, thread = start_server(asset_path("pingpong_server").read_text())
+    bind = fresh_addr()
+    fresh_addr()  # the second connection's reply address
+    try:
+        assert cli_main(["bench-pingpong", "--client", addr, "--bind", bind,
+                         "--conns", "2", "--duration", "0.5"]) == 0
+    finally:
+        transport.stop()
+        thread.join(5)
+    report = dict(f.split("=") for f in capsys.readouterr().out.split())
+    assert report["conns"] == "2" and report["errors"] == "0"
+    assert 0 < int(report["received"]) <= node.metrics.delivered
+    assert set(threading.enumerate()) <= threads
 
 
 def test_dump_endpoint_can_be_disabled():
