@@ -6,7 +6,12 @@ form is deterministic canonical text: every compound except lists is written
 functionally, atoms are quoted unless they look like plain identifiers or
 are `[]`, `!` or `;` (a compound named `[]` is written `'[]'(...)`), and
 variables are renamed `_G1`, `_G2`, ... in order of first appearance.
-The same reader parses program text and every payload a node receives.
+Every payload a node sends is canonical text, and `deserialize` reads it
+without the operator parser (after SWI-Prolog's `fast_read/2`): one `re`
+scan over its tokens and a stack of open brackets.  Any other text (layout,
+an operator, a `.`, a name outside ASCII, or nesting or an integer near a
+limit) goes to `parse_term`, which also reads program text, so every error,
+its position and every limit stay the full reader's.
 
 `tokenize` turns text into plain tuples (kind, text, offset, compound) and
 the parser reads them by index.  Tokens carry only their offset into the
@@ -475,4 +480,82 @@ def deserialize(payload: bytes) -> Term:
         text = payload.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ReaderError("payload is not valid UTF-8: %s" % e)
-    return parse_term(text)
+    t = _read_canonical(text)
+    return parse_term(text) if t is None else t
+
+
+# --- reading canonical text ---
+
+# one canonical token, with no groups, so that `findall` returns their text;
+# no two start alike, and the most frequent are tried first
+_CANONICAL_RE = re.compile(
+    r"[a-z][a-zA-Z0-9_]*|[(),|!;\]]|-?[0-9]{1,%d}|\[\]?"
+    r"|'[^'\\]*(?:\\[\\'nt][^'\\]*)*'|[A-Z_][a-zA-Z0-9_]*" % MAX_INT_DIGITS)
+_ESCAPE_RE = re.compile(r"\\(.)")
+_LIST, _TAIL = 0, 1  # an open list, before and after its `|`
+
+
+def _read_canonical(text: str) -> Optional[Term]:
+    """The term of canonical `text`, which `parse_term` would read the same;
+    None for any other text, or near a limit."""
+    toks = _CANONICAL_RE.findall(text)
+    if sum(map(len, toks)) != len(text):  # layout, an operator, a `.` ...
+        return None
+    toks.append(" ")  # the end: layout is never a token
+    names: dict = {}
+    stack = []  # (frame, args) of each enclosing bracket
+    frame = None  # the open compound's name, _LIST or _TAIL; None at the top
+    args: list = []  # the terms read inside it so far
+    i = 0
+    while True:
+        tok = toks[i]  # a term, told by its first character
+        i += 1
+        c = tok[0]
+        if "a" <= c <= "z" or c in "'!;":
+            if c == "'":
+                tok = tok[1:-1]
+                if "\\" in tok:
+                    tok = _ESCAPE_RE.sub(lambda m: _ESCAPES[m[1]], tok)
+            if toks[i] == "(":
+                t = tok
+                i += 1
+            else:
+                t = Atom(tok)
+        elif c == "-" or "0" <= c <= "9":
+            t = Int(int(tok))  # the pattern gave `int` a sign and ASCII digits only
+            if not INT64_MIN <= t.value <= INT64_MAX:
+                return None
+        elif c == "_" or "A" <= c <= "Z":
+            t = Var(tok) if tok == "_" else names.setdefault(tok, Var(tok))
+        elif tok == "[]":
+            t = EMPTY_LIST
+        elif tok == "[":
+            t = _LIST
+        else:
+            return None
+        if type(t) is str or t is _LIST:  # a compound's name or `[` opens a bracket
+            if len(stack) >= MAX_DEPTH - 2:  # parse_term decides at the cap
+                return None
+            stack.append((frame, args))
+            frame, args = t, []
+            continue
+        while True:  # separators: each `)` or `]` closes one more term
+            args.append(t)
+            tok = toks[i]
+            i += 1
+            if tok == "," and (type(frame) is str or frame == _LIST):
+                break
+            if tok == "|" and frame == _LIST:
+                frame = _TAIL
+                break
+            if tok == ")" and type(frame) is str:
+                t = Struct(frame, args)
+            elif tok == "]" and type(frame) is int:
+                t = args.pop() if frame == _TAIL else EMPTY_LIST
+                for item in reversed(args):
+                    t = Struct(".", (item, t))
+            elif tok == " " and frame is None:
+                return t
+            else:
+                return None
+            frame, args = stack.pop()

@@ -91,6 +91,12 @@ class Node:
             ("signed_by", 2): self._bi_signed_by2,
             ("digest_id", 2): self._bi_digest_id,
         }
+        # a clause for a node builtin is never called; one that a configured
+        # builtin overrides is so on purpose (zyzzyva's compute_output/2)
+        for ind in self.builtins:
+            if self.db.preds.get(ind) and ind not in config.extra_builtins:
+                log.warning("%s: clauses for %s/%d are never called: it is a node builtin",
+                            self.address, *ind)
         self.builtins.update(config.extra_builtins)
         self.builtins.update(BUILTINS)
         self.solver = Solver(self.db, config.limits, self.builtins)

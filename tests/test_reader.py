@@ -1,13 +1,22 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from logicnode import reader
 from logicnode.reader import (
     MAX_DEPTH, MAX_INT_DIGITS, Program, ReaderError, deserialize, parse_program,
     parse_term, serialize, term_text)
 from logicnode.terms import INT64_MAX, INT64_MIN, Atom, Int, Struct, Var, deref
 
 from term_gen import terms
+
+_DIGEST = Path(__file__).resolve().parent.parent / "scripts" / "reader_digest.py"
+_spec = importlib.util.spec_from_file_location("reader_digest", _DIGEST)
+reader_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reader_digest)
 
 
 def program_text(prog: Program) -> str:
@@ -235,3 +244,76 @@ def test_integer_literals_within_int64():
         parse_term("1" + "0" * MAX_INT_DIGITS)
     with pytest.raises(ReaderError, match="longer than 19 digits"):
         deserialize(b"ping(c, " + b"9" * 5000 + b")")
+
+
+# --- a payload reads as `parse_term` reads its text ---
+
+def read_payload(text: str):
+    return deserialize(text.encode("utf-8"))
+
+
+def test_the_digest_corpus_reads_the_same_as_a_payload():
+    # every 8th random text and every canonical text of the corpus whose
+    # outcomes `reader_digest.py` pins, so that the test takes about 5 s
+    compared = 0
+    for i, (part, read, text) in enumerate(reader_digest.corpus()):
+        if read is not parse_term or (part == "random" and i % 16):
+            continue
+        expected = reader_digest.outcome(parse_term, text)
+        assert reader_digest.outcome(read_payload, text) == expected, text
+        compared += 1
+    assert compared == reader_digest.N_RANDOM // 8 + reader_digest.N_CANONICAL
+
+
+_CANONICAL_CHARS = "abzAZ_019-'\\()[],|!;. \né"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(alphabet=st.characters(codec="utf-8"), max_size=40),
+                 st.text(alphabet=_CANONICAL_CHARS, max_size=40)))
+@example("f(²)")
+@example("f(a)-1")
+def test_any_text_reads_as_a_payload_as_parse_term_reads_it(text):
+    expected = reader_digest.outcome(parse_term, text)
+    assert reader_digest.outcome(read_payload, text) == expected
+
+
+_NESTED = {
+    "compound": _nested,
+    "tail": lambda depth: "[a|" * depth + "b" + "]" * depth,
+    "list": lambda depth: "[" * depth + "a" + "]" * depth,
+}
+
+
+@pytest.mark.parametrize("text", [
+    *(pytest.param(nested(depth), id="%s-%d" % (kind, depth))
+      for kind, nested in _NESTED.items()
+      for depth in (MAX_DEPTH - 2, MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1)),
+    str(INT64_MIN), str(INT64_MIN - 1), str(INT64_MAX), str(INT64_MAX - 1),
+    str(INT64_MAX + 1), "f(%d)" % INT64_MIN, "1" * 19, "9" * 19, "1" * 20, "-" + "1" * 20,
+    "-0", "f(-0)", "--1", "- 1",
+    "1-1", "f(a)-1", "[1,-1]", "[a|-1]", "f(a)(b)", "[](x)", "'[]'(x)", "'[]'",
+    "[a|b|c]", "[a|b,c]", "[|a]", "f()", "a,b", "a|b", "X(a)", "1(a)", "(a)",
+    "f(_, _)", "f(_,_)", "f(X, X)", "f(X,X)", "[X,Y|X]",
+    r"'a\'b\\c\nd\te'", r"'\z'", "'open", "'a''b'", "''(x)", ";(a,!)", "'-'(1)", "'\\+'",
+    "a.", "f(a).", "f(a). ", " a", "f( a)", "f(a)\n", "f(a)%c",
+    "é", "'é'", "f(é)", "aé", "f(١٢)",
+])
+def test_a_payload_reads_as_parse_term_reads_its_text(text):
+    expected = reader_digest.outcome(parse_term, text)
+    assert reader_digest.outcome(read_payload, text) == expected
+
+
+def _no_operator_reader(text):
+    raise AssertionError("the operator reader read %r" % text)
+
+
+def test_canonical_payloads_never_reach_the_operator_reader(monkeypatch):
+    monkeypatch.setattr(reader, "tokenize", _no_operator_reader)
+
+    @settings(max_examples=300, deadline=None)
+    @given(terms())
+    def round_trip(t):
+        assert variant_eq(t, deserialize(serialize(t)))
+
+    round_trip()

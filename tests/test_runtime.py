@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,10 @@ from hypothesis import strategies as st
 from logicnode import engine, reader, runtime
 from logicnode.auth import full_mesh_keystore
 from logicnode.engine import EngineError, SolveLimits, Solver
+from logicnode.protocols import load_asset
+from logicnode.protocols.chord import ChordSim
+from logicnode.protocols.spanning_tree import run_spanning_tree
+from logicnode.protocols.zyzzyva import ZyzzyvaSim
 from logicnode.reader import MAX_DEPTH, parse_program, parse_term, serialize
 from logicnode.runtime import NodeConfig
 from logicnode.sim import SimNetwork
@@ -139,6 +145,41 @@ def test_dispatch_and_holds_build_no_answer(monkeypatch):
     assert calls == []
     node.solver.solve_first(parse_term("p(X)"))  # the counters do count
     assert calls == ["term_vars", "copy_term"]
+
+
+def _pingpong_server():
+    net = SimNetwork(seed=1)
+    net.add_node(NodeConfig("127.0.0.1:40000", parse_program("")))
+    return net.add_node(NodeConfig("127.0.0.1:40001", load_asset("pingpong_server")))
+
+
+def test_a_ping_never_reaches_the_operator_reader(monkeypatch):
+    node = _pingpong_server()
+
+    def no_operator_reader(text):
+        raise AssertionError("the operator reader read %r" % text)
+
+    monkeypatch.setattr(reader, "tokenize", no_operator_reader)
+    ping = Envelope("127.0.0.1:40000", b"ping('127.0.0.1:40000',p00000001)")
+    assert node.dispatch(ping)[::2] == ("success", 1)
+
+
+# the node's own builtins take precedence over program clauses, so a clause
+# for one of them is stored and never called
+def test_a_clause_for_a_node_builtin_is_reported_when_the_node_starts(caplog):
+    with caplog.at_level(logging.WARNING, logger="logicnode.runtime"):
+        make_net("this_node(elsewhere).\n:- event p/0.\np :- this_node(X), send(X, p).\n")
+    assert [r.getMessage() for r in caplog.records] == [
+        "n1: clauses for this_node/1 are never called: it is a node builtin"]
+
+
+def test_the_shipped_protocols_define_no_node_builtin(caplog):
+    with caplog.at_level(logging.WARNING, logger="logicnode.runtime"):
+        ZyzzyvaSim()  # its replicas override compute_output/2 on purpose
+        ChordSim(seed=1).join("c1")
+        run_spanning_tree({"a": ["b"], "b": ["a"]}, "a")
+        _pingpong_server()
+    assert caplog.records == []
 
 
 def test_the_trace_shows_the_canonical_text_of_a_payload():
